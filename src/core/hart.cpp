@@ -748,29 +748,21 @@ bool Hart::exec_custom(const Inst& inst) {
       if (!sealpk) break;
       cycles_ += t.rocc_cycles;
       const u32 pkey = static_cast<u32>(reg(inst.rs1)) & (hw::kNumPkeys - 1);
-      const hw::SealCheck check = seal_unit_.check_wrpkr(pkey, pc_);
-      if (check == hw::SealCheck::kViolation) {
+      const hw::WrpkrCommit c =
+          hw::commit_wrpkr(pkr_, seal_unit_, pkey, pc_, reg(inst.rs2));
+      if (c.check == hw::SealCheck::kViolation) {
         raise(TrapCause::kSealViolation, pkey);
         return false;
       }
-      if (check == hw::SealCheck::kMiss) {
+      if (c.check == hw::SealCheck::kMiss) {
         raise(TrapCause::kPkCamMiss, pkey);
         return false;
       }
       ++stats_.wrpkr_count;
-      const u32 row = hw::pkr_row_of(pkey);
-      u64 next = reg(inst.rs2);
-      // A row holds 32 keys. Hardware preserves the 2-bit fields of *other*
-      // sealed keys in the row — otherwise a WRPKR naming an unsealed
-      // neighbour could clobber a sealed key's permissions (a gap the paper
-      // does not address; see DESIGN.md).
-      const u64 old = pkr_.peek_row(row);
-      next = hw::merge_sealed_row(seal_unit_, old, next, row, pkey);
-      pkr_.write_row(row, next);
-      if (pkr_write_hook_) pkr_write_hook_(row, next);
+      if (pkr_write_hook_) pkr_write_hook_(hw::pkr_row_of(pkey), c.new_row);
       if (recorder_ != nullptr) {
         recorder_->emit(obs::EventKind::kWrpkr, instret_, cycles_, pkey,
-                        old, next);
+                        c.old_row, c.new_row);
       }
       return true;
     }

@@ -35,7 +35,8 @@ double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
   for (const JobResult& v : results) {
     if (v.kind != JobKind::kRun || v.workload == nullptr) continue;
     if (v.workload->suite != suite || v.ss != ss) continue;
-    if (v.perm_seal != perm_seal || ss == passes::ShadowStackKind::kNone) {
+    if (v.perm_seal != perm_seal || ss == passes::ShadowStackKind::kNone ||
+        !v.ok) {
       continue;
     }
     // Baseline = the kNone job for the same workload (unique per workload
@@ -48,7 +49,7 @@ double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
         break;
       }
     }
-    if (base == nullptr || base->cycles == 0) continue;
+    if (base == nullptr || !base->ok || base->cycles == 0) continue;
     const double overhead =
         100.0 *
         (static_cast<double>(v.cycles) - static_cast<double>(base->cycles)) /
@@ -274,10 +275,11 @@ void write_matrix_json(std::ostream& os,
   size_t cell = 0;
   for (const wl::Workload& w : workloads) {
     for (const MatrixVariant& v : variants) {
-      os << "    {\"id\": " << cell << ", \"workload\": \""
+      const size_t id = cell++;
+      os << "    {\"id\": " << id << ", \"workload\": \""
          << json_escape(std::string(wl::suite_name(w.suite)) + "/" + w.name)
          << "\", \"variant\": \"" << json_escape(v.name) << "\"}"
-         << (++cell < total ? "," : "") << "\n";
+         << (cell < total ? "," : "") << "\n";
     }
   }
   os << "  ]\n}\n";

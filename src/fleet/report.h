@@ -34,9 +34,10 @@ Aggregate aggregate(const std::vector<JobResult>& results);
 
 // Geometric mean of per-workload overhead (percent, vs the kNone baseline
 // job for the same workload among `results`) across the suite — the same
-// math as sim::suite_gmean_overhead, including the 0.01% clamp. Returns a
-// negative value when the suite has no (baseline, variant) pair, so callers
-// can skip rather than divide by nothing.
+// math as sim::suite_gmean_overhead, including the 0.01% clamp. Only pairs
+// whose variant and baseline jobs both completed (ok) count. Returns a
+// negative value when the suite has no such pair, so callers can skip
+// rather than divide by nothing.
 double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
                       passes::ShadowStackKind ss, bool perm_seal = false);
 

@@ -282,8 +282,9 @@ class SealUnit {
 
 // WRPKR row-commit merge (§IV): a row write may only change the fields of
 // unsealed keys plus the named key itself; every *other* sealed key in the
-// row keeps its current 2-bit field. Shared by the hart's WRPKR commit and
-// the model checker's harness so the two cannot diverge.
+// row keeps its current 2-bit field. A row holds 32 keys, so without it a
+// WRPKR naming an unsealed neighbour could clobber a sealed key's
+// permissions (a gap the paper does not address; see DESIGN.md).
 inline u64 merge_sealed_row(const SealUnit& unit, u64 old_row, u64 next,
                             u32 row, u32 pkey) {
   for (u32 slot = 0; slot < kKeysPerRow; ++slot) {
@@ -293,6 +294,32 @@ inline u64 merge_sealed_row(const SealUnit& unit, u64 old_row, u64 next,
                    bits(old_row, 2 * slot + 1, 2 * slot));
   }
   return next;
+}
+
+struct WrpkrCommit {
+  SealCheck check = SealCheck::kAllowed;
+  u64 old_row = 0;  // the named key's row before and after the write;
+  u64 new_row = 0;  // both 0 unless check == kAllowed
+};
+
+// The write half of a WRPKR commit: merge, then write the named key's row.
+inline WrpkrCommit write_pkr_row(Pkr& pkr, const SealUnit& unit, u32 pkey,
+                                 u64 value) {
+  const u32 row = pkr_row_of(pkey);
+  const u64 old = pkr.peek_row(row);
+  const u64 next = merge_sealed_row(unit, old, value, row, pkey);
+  pkr.write_row(row, next);
+  return {SealCheck::kAllowed, old, next};
+}
+
+// WRPKR row commit, shared by Hart::exec_custom and the model checker's
+// harness so the two cannot diverge: the seal check first (a CAM miss or a
+// range violation commits nothing), then the merge and the write.
+inline WrpkrCommit commit_wrpkr(Pkr& pkr, SealUnit& unit, u32 pkey, u64 pc,
+                                u64 value) {
+  const SealCheck check = unit.check_wrpkr(pkey, pc);
+  if (check != SealCheck::kAllowed) return {check};
+  return write_pkr_row(pkr, unit, pkey, value);
 }
 
 }  // namespace sealpk::hw

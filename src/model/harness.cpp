@@ -4,9 +4,29 @@
 
 #include "common/check.h"
 #include "common/serial.h"
+#include "os/pkey_core.h"
 #include "os/syscall_abi.h"
 
 namespace sealpk::model {
+
+namespace {
+
+// The bare PKR of one hart running one thread: no saved contexts to mirror.
+class BarePkrPort final : public os::PkrPort {
+ public:
+  explicit BarePkrPort(hw::Pkr& pkr) : pkr_(pkr) {}
+  void set_perm(u32 pkey, u8 perm) override { pkr_.set_perm(pkey, perm); }
+  void revoke(u32 pkey) override { pkr_.set_perm(pkey, 0); }
+
+ private:
+  hw::Pkr& pkr_;
+};
+
+Outcome result(i64 rc) {
+  return {rc < 0 ? OpStatus::kError : OpStatus::kOk, rc};
+}
+
+}  // namespace
 
 Harness::Harness(const ModelConfig& cfg)
     : cfg_(cfg), seal_(cfg.cam_entries), pages_(cfg.num_pages) {
@@ -23,22 +43,17 @@ Harness::Harness(const Harness& other)
 }
 
 void Harness::wire_drained_hook() {
-  // Mirrors Kernel::install_drained_hook: when a quarantined key's last
-  // page drains, dissolve its hardware seal state and clear its PKR field.
   keys_.set_drained_hook([this](u32 pkey) {
-    if (cfg_.mutation != Mutation::kSkipDrainScrub) {
-      seal_.clear_key(pkey);
-    }
-    pkr_.set_perm(pkey, 0);
+    BarePkrPort pkr(pkr_);
+    os::scrub_drained(seal_, pkr, pkey);
   });
 }
 
-void Harness::refill(u32 pkey, u64 start, u64 end) {
-  if (cfg_.mutation == Mutation::kRefillWrongRange) {
-    seal_.refill(pkey, start + 4, end);
-    return;
-  }
-  seal_.refill(pkey, start, end);
+void Harness::misrefill(u32 pkey) {
+  if (cfg_.mutation != Mutation::kRefillWrongRange) return;
+  // Replaces the entry the shared refill just installed, in place.
+  const os::SealRange range = *keys_.perm_seal_range(pkey);
+  seal_.refill(pkey, range.start + 4, range.end);
 }
 
 void Harness::install(const ModelState& s) {
@@ -146,126 +161,112 @@ ModelState Harness::extract() const {
   return s;
 }
 
+// Every rule below is the kernel's or the hart's own code (os/pkey_core.h,
+// hw::commit_wrpkr). Mutations are injected here, and only here, by
+// replacing one shared step or correcting the state it left.
 Outcome Harness::apply(const Op& op) {
+  BarePkrPort pkr(pkr_);
+  const u32 k = op.pkey;
+  // kSkipFreeClear and kSkipDrainScrub: the seal unit leaves the free (or
+  // the mprotect whose drain would scrub it) as it entered.
+  const bool keep_seal =
+      (cfg_.mutation == Mutation::kSkipFreeClear && op.kind == OpKind::kFree) ||
+      (cfg_.mutation == Mutation::kSkipDrainScrub &&
+       op.kind == OpKind::kMprotect);
+  const hw::SealUnit::Snapshot seal_before =
+      keep_seal ? seal_.canonical_state() : hw::SealUnit::Snapshot{};
+  Outcome out;
+
   switch (op.kind) {
-    case OpKind::kAlloc: {
-      const i64 rc = keys_.alloc();
-      if (rc < 0) return {OpStatus::kError, rc};
-      if (rc >= static_cast<i64>(cfg_.num_pkeys)) {
+    case OpKind::kAlloc:
+      out = result(os::pkey_alloc(keys_, pkr, op.perm));
+      if (out.rc >= static_cast<i64>(cfg_.num_pkeys)) {
         // Reduced-universe mask: the real manager found a key outside the
         // model, which means every model key is allocated or quarantined.
-        // Undo the side-effect-free grab and report exhaustion.
-        SEALPK_CHECK(keys_.free_key(static_cast<u32>(rc)) == 0);
-        return {OpStatus::kError, os::err::kNoSpc};
+        // Free it again (it carries no pages, so nothing else changed) and
+        // report exhaustion.
+        SEALPK_CHECK(
+            os::pkey_free(keys_, pkr, seal_, static_cast<u32>(out.rc)) == 0);
+        out = result(os::err::kNoSpc);
       }
-      // Kernel sys_pkey_alloc: install the initial permission.
-      pkr_.set_perm(static_cast<u32>(rc), op.perm);
-      return {OpStatus::kOk, rc};
-    }
+      break;
 
-    case OpKind::kFree: {
-      const u32 k = op.pkey;
-      const i64 rc = keys_.free_key(k);
-      if (rc != 0) return {OpStatus::kError, rc};
-      // Kernel sys_pkey_free: the PTE alone governs orphan pages.
-      pkr_.set_perm(k, 0);
-      if (cfg_.mutation == Mutation::kEagerFreeClear) {
-        seal_.clear_key(k);
-      } else if (!keys_.dirty(k) &&
-                 cfg_.mutation != Mutation::kSkipFreeClear) {
-        // Immediate full release: dissolve the hardware seal state too
-        // (the lazy path does this from the drained hook).
-        seal_.clear_key(k);
-      }
+    case OpKind::kFree:
+      out = result(os::pkey_free(keys_, pkr, seal_, k));
+      if (out.rc != 0) break;
+      if (cfg_.mutation == Mutation::kEagerFreeClear) seal_.clear_key(k);
       if (cfg_.mutation == Mutation::kForgetDirty && keys_.dirty(k)) {
         // Broken kernel: the quarantine evaporates while pages survive.
         ModelState s = extract();
         s.keys[k].dirty = false;
         install(s);
       }
-      return {OpStatus::kOk, 0};
-    }
+      break;
 
     case OpKind::kMprotect: {
-      // Mirrors sys_pkey_mprotect + AddressSpace::protect_pkey for one
-      // page: assignability, then the §IV seal vetoes, then PTE rewrite
-      // and page-counter maintenance.
-      const u32 k = op.pkey;
-      if (!keys_.assignable(k)) return {OpStatus::kError, os::err::kInval};
+      // pkey_mprotect on one page: the kernel's admission rule and seal
+      // veto, then the PTE rewrite and page-counter move of the model's
+      // page table (AddressSpace::protect_pkey's per-VMA step).
       PageState& pg = pages_[op.page];
-      if (keys_.domain_sealed(pg.pkey)) {
-        return {OpStatus::kError, os::err::kPerm};
-      }
-      if (pg.pkey != k && keys_.pages_sealed(k)) {
-        return {OpStatus::kError, os::err::kPerm};
-      }
+      out = result(os::pkey_mprotect_admit(keys_, k));
+      if (out.rc == 0) out = result(os::seal_veto(keys_, pg.pkey, k));
+      if (out.rc != 0) break;
       const u32 old = pg.pkey;
       pg = {static_cast<u8>(k), op.prot};
       if (old != k) {
         keys_.page_delta(old, -1);  // may complete a lazy-free drain
         keys_.page_delta(k, +1);
       }
-      return {OpStatus::kOk, 0};
+      break;
     }
 
-    case OpKind::kSeal: {
-      const i64 rc = keys_.seal(op.pkey, op.seal_domain, op.seal_page);
-      if (rc != 0) return {OpStatus::kError, rc};
-      return {OpStatus::kOk, 0};
-    }
+    case OpKind::kSeal:
+      out = result(keys_.seal(k, op.seal_domain, op.seal_page));
+      break;
 
     case OpKind::kPermSeal: {
-      const u32 k = op.pkey;
       const PcRange range = kModelRanges[op.range];
-      const i64 rc = keys_.set_perm_seal(k, {range.start, range.end});
-      if (rc != 0) return {OpStatus::kError, rc};
-      // Kernel sys_pkey_perm_seal: commit the fuse and warm the CAM.
-      seal_.set_sealed(k);
-      refill(k, range.start, range.end);
-      return {OpStatus::kOk, 0};
+      out = result(
+          os::pkey_perm_seal(keys_, seal_, k, {range.start, range.end}));
+      if (out.rc == 0) misrefill(k);
+      break;
     }
 
     case OpKind::kWrpkr: {
-      // Mirrors Hart::exec_custom's WRPKR path plus the kernel's CAM-miss
-      // refill-and-retry handshake.
-      const u32 k = op.pkey;
+      // The hart's WRPKR commit; a CAM miss traps to the kernel's refill
+      // and the WRPKR re-executes.
       const u64 pc = kModelWrpkrPcs[op.pc];
-      hw::SealCheck check = seal_.check_wrpkr(k, pc);
-      if (check == hw::SealCheck::kMiss) {
-        const auto range = keys_.perm_seal_range(k);
-        if (!range.has_value()) {
-          return {OpStatus::kTrap, 0};  // fatal: no range on file
-        }
-        refill(k, range->start, range->end);
-        check = seal_.check_wrpkr(k, pc);  // re-executed WRPKR
+      const u64 value = u64{op.perm} << (2 * hw::pkr_slot_of(k));
+      hw::WrpkrCommit c = hw::commit_wrpkr(pkr_, seal_, k, pc, value);
+      if (c.check == hw::SealCheck::kMiss) {
+        if (!os::refill_cam(keys_, seal_, k)) return {OpStatus::kTrap, 0};
+        misrefill(k);
+        c = hw::commit_wrpkr(pkr_, seal_, k, pc, value);
       }
-      if (check == hw::SealCheck::kViolation &&
-          cfg_.mutation != Mutation::kIgnoreSealViolation) {
-        return {OpStatus::kTrap, 0};
+      if (c.check == hw::SealCheck::kViolation &&
+          cfg_.mutation == Mutation::kIgnoreSealViolation) {
+        c = hw::write_pkr_row(pkr_, seal_, k, value);
       }
-      const u32 row = hw::pkr_row_of(k);
-      const u32 slot = hw::pkr_slot_of(k);
-      u64 next = u64{op.perm} << (2 * slot);
-      const u64 old = pkr_.peek_row(row);
-      if (cfg_.mutation != Mutation::kSkipSealedNeighbourMerge) {
-        next = hw::merge_sealed_row(seal_, old, next, row, k);
+      if (c.check != hw::SealCheck::kAllowed) return {OpStatus::kTrap, 0};
+      if (cfg_.mutation == Mutation::kSkipSealedNeighbourMerge) {
+        pkr_.write_row(hw::pkr_row_of(k), value);
       }
-      pkr_.write_row(row, next);
-      return {OpStatus::kOk, 0};
+      break;
     }
   }
-  return {OpStatus::kError, os::err::kNoSys};
+  if (keep_seal) seal_.restore(seal_before);
+  return out;
 }
 
-bool Harness::access_allowed(unsigned page, bool is_store) const {
+bool Harness::access_allowed(unsigned page, bool is_store) {
   const PageState& pg = pages_[page];
   const bool pte_ok =
       is_store ? (pg.prot & 0b10) != 0 : (pg.prot & 0b01) != 0;
   if (cfg_.mutation == Mutation::kIgnorePkeyOnAccess) return pte_ok;
   // The hart's effective-permission check: PTE AND pkey (§III-A).
-  const u8 perm = pkr_.peek_perm(pg.pkey);
-  const bool pkey_ok = is_store ? (perm & 0b01) == 0 : (perm & 0b10) == 0;
-  return pte_ok && pkey_ok;
+  const bool denied = is_store ? pkr_.write_disabled(pg.pkey)
+                               : pkr_.read_disabled(pg.pkey);
+  return pte_ok && !denied;
 }
 
 bool Harness::fetch_allowed(unsigned page) const {

@@ -1,12 +1,15 @@
 // The concrete machine under test.
 //
 // A Harness owns the *real* implementation units — hw::Pkr, hw::SealUnit
-// (built with the reduced CAM size) and os::SealPkKeyManager wired with the
-// kernel's drained hook — plus a tiny page table, and drives them through
-// the kernel's syscall logic and the hart's WRPKR commit path. install()
-// and extract() convert to/from the abstract ModelState through the units'
-// official ports (canonical_state, restore, save_state/load_state), so the
-// checker observes exactly what context switches and snapshots observe.
+// (built with the reduced CAM size) and os::SealPkKeyManager — plus a tiny
+// page table, and steps them with the code that ships: the kernel's pkey
+// syscall cores and drained-hook scrub (os/pkey_core.h) and the hart's
+// WRPKR commit (hw::commit_wrpkr). apply() adds only the reduced-universe
+// ENOSPC mask, the WRPKR -> CAM-miss refill -> retry composition of hart
+// and kernel, and the mutation injections. install() and extract() convert
+// to/from the abstract ModelState through the units' official ports
+// (canonical_state, restore, save_state/load_state), so the checker
+// observes exactly what context switches and snapshots observe.
 #pragma once
 
 #include <vector>
@@ -35,14 +38,15 @@ class Harness {
   Outcome apply(const Op& op);
 
   // Effective data-access permission for `page`, consulting the real Pkr
-  // exactly as Hart::data_access_allowed does.
-  bool access_allowed(unsigned page, bool is_store) const;
-  // Fetches never consult the Pkr (mirrors the hart's fetch path).
+  // through the accessors Hart::data_access_allowed uses.
+  bool access_allowed(unsigned page, bool is_store);
+  // Fetches never consult the Pkr, like the hart's fetch path.
   bool fetch_allowed(unsigned page) const;
 
  private:
   void wire_drained_hook();
-  void refill(u32 pkey, u64 start, u64 end);
+  // kRefillWrongRange: shifts the key's fresh CAM entry off its range.
+  void misrefill(u32 pkey);
 
   ModelConfig cfg_;
   hw::Pkr pkr_;

@@ -1,6 +1,7 @@
 #include "os/addr_space.h"
 
 #include "core/csr.h"
+#include "os/pkey_core.h"
 #include "os/syscall_abi.h"
 
 namespace sealpk::os {
@@ -199,22 +200,21 @@ i64 AddressSpace::unmap(u64 addr, u64 len, const PkeyPageDelta& delta) {
   return 0;
 }
 
-i64 AddressSpace::protect(
-    u64 addr, u64 len, u64 prot,
-    const std::function<bool(u32 pkey)>& domain_sealed) {
+i64 AddressSpace::protect(u64 addr, u64 len, u64 prot,
+                          const KeyManager& keys) {
   if (len == 0 || (addr & (mem::kPageSize - 1)) != 0) return err::kInval;
   len = align_up(len, mem::kPageSize);
   if (!range_fully_mapped(addr, len)) return err::kNoMem;
 
-  // Pre-flight the seal check across the whole range so the call is
+  // Pre-flight the seal veto across the whole range so the call is
   // all-or-nothing (paper §IV: a sealed domain's PTE permissions cannot be
   // changed).
-  if (domain_sealed) {
-    for (u64 cursor = addr; cursor < addr + len;) {
-      const Vma* vma = find_vma(cursor);
-      if (domain_sealed(vma->pkey)) return err::kPerm;
-      cursor = vma->end;
+  for (u64 cursor = addr; cursor < addr + len;) {
+    const Vma* vma = find_vma(cursor);
+    if (const i64 rc = seal_veto(keys, vma->pkey, vma->pkey); rc != 0) {
+      return rc;
     }
+    cursor = vma->end;
   }
 
   split_at(addr);
@@ -235,23 +235,18 @@ i64 AddressSpace::protect(
   return pages;
 }
 
-i64 AddressSpace::protect_pkey(
-    u64 addr, u64 len, u64 prot, u32 pkey,
-    const std::function<bool(u32 pkey)>& domain_sealed,
-    const std::function<bool(u32 pkey)>& pages_sealed,
-    const PkeyPageDelta& delta) {
+i64 AddressSpace::protect_pkey(u64 addr, u64 len, u64 prot, u32 pkey,
+                               const KeyManager& keys,
+                               const PkeyPageDelta& delta) {
   if (len == 0 || (addr & (mem::kPageSize - 1)) != 0) return err::kInval;
   if (pkey >= (u32{1} << pkey_bits_)) return err::kInval;
   len = align_up(len, mem::kPageSize);
   if (!range_fully_mapped(addr, len)) return err::kNoMem;
 
-  // Pre-flight both sealing rules.
+  // Pre-flight the seal veto across the whole range.
   for (u64 cursor = addr; cursor < addr + len;) {
     const Vma* vma = find_vma(cursor);
-    if (domain_sealed && domain_sealed(vma->pkey)) return err::kPerm;
-    if (vma->pkey != pkey && pages_sealed && pages_sealed(pkey)) {
-      return err::kPerm;  // cannot add pages to a page-sealed domain
-    }
+    if (const i64 rc = seal_veto(keys, vma->pkey, pkey); rc != 0) return rc;
     cursor = vma->end;
   }
 

@@ -24,6 +24,8 @@ struct Vma {
   u64 pages() const { return (end - start) >> mem::kPageShift; }
 };
 
+class KeyManager;
+
 // Callback used to keep the key manager's per-pkey page counters in sync:
 // invoked once per (pkey, page-count) delta.
 using PkeyPageDelta = std::function<void(u32 pkey, i64 pages)>;
@@ -58,19 +60,15 @@ class AddressSpace {
   i64 unmap(u64 addr, u64 len, const PkeyPageDelta& delta = nullptr);
 
   // mprotect: updates PTE permission bits, preserving each page's pkey.
-  // Returns number of pages updated or negative errno. `sealed_domain`
-  // (optional) lets the caller veto changes to pages of sealed domains.
-  i64 protect(u64 addr, u64 len, u64 prot,
-              const std::function<bool(u32 pkey)>& domain_sealed = nullptr);
+  // Returns number of pages updated or negative errno. Both protect calls
+  // are all-or-nothing: the seals on file in `keys` veto the whole call up
+  // front, checked per VMA by the shared rule os::seal_veto (pkey_core.h).
+  i64 protect(u64 addr, u64 len, u64 prot, const KeyManager& keys);
 
-  // pkey_mprotect: updates permissions *and* assigns `pkey`.
-  // `domain_sealed` vetoes re-keying pages whose current domain is sealed;
-  // `pages_sealed` vetoes adding pages to the target domain; `delta`
+  // pkey_mprotect: updates permissions *and* assigns `pkey`; `delta`
   // maintains page counters. Returns pages updated or negative errno.
   i64 protect_pkey(u64 addr, u64 len, u64 prot, u32 pkey,
-                   const std::function<bool(u32 pkey)>& domain_sealed,
-                   const std::function<bool(u32 pkey)>& pages_sealed,
-                   const PkeyPageDelta& delta);
+                   const KeyManager& keys, const PkeyPageDelta& delta);
 
   const Vma* find_vma(u64 addr) const;
   const std::map<u64, Vma>& vmas() const { return vmas_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mpk/key_manager.h"
+#include "os/pkey_core.h"
 #include "vault/format.h"
 
 namespace sealpk::os {
@@ -37,16 +38,37 @@ void Kernel::emit(obs::EventKind kind, u32 pkey, u64 arg0, u64 arg1) {
   recorder_->emit(kind, hart_.instret(), hart_.cycles(), pkey, arg0, arg1);
 }
 
+// The kernel's PkrPort (os/pkey_core.h): field writes go through
+// set_hw_pkey_perm, which also updates the running thread's PKR shadow, and
+// a revocation reaches the saved PKR of every thread of the process.
+struct KernelPkrPort final : PkrPort {
+  Kernel& k;
+  explicit KernelPkrPort(Kernel& kernel) : k(kernel) {}
+
+  void set_perm(u32 pkey, u8 perm) override { k.set_hw_pkey_perm(pkey, perm); }
+
+  void revoke(u32 pkey) override {
+    k.set_hw_pkey_perm(pkey, 0);
+    const u32 row = hw::pkr_row_of(pkey);
+    const u32 slot = hw::pkr_slot_of(pkey);
+    for (const int tid : k.current_process().thread_tids) {
+      u64& saved = k.thread(tid).ctx.pkr[row];
+      saved = deposit(saved, 2 * slot + 1, 2 * slot, 0);
+    }
+  }
+};
+
 void Kernel::install_drained_hook(SealPkKeyManager& keys, int pid) {
   keys.set_drained_hook([this, pid](u32 pkey) {
-    // The key fully drained: dissolve its hardware seal state so a future
-    // owner starts fresh.
-    auto it = processes_.find(pid);
-    if (it == processes_.end()) return;
+    if (!has_process(pid)) return;
+    KernelPkrPort pkr(*this);
     if (current_tid_ >= 0 && thread(current_tid_).pid == pid) {
-      hart_.seal_unit().clear_key(pkey);
+      scrub_drained(hart_.seal_unit(), pkr, pkey);
+    } else {
+      // Off the hart the process's seal state is its saved image, which
+      // this hook leaves as it is.
+      pkr.set_perm(pkey, 0);
     }
-    set_hw_pkey_perm(pkey, 0);
     emit(obs::EventKind::kPkeyLazyDrain, pkey, 0, 0);
   });
 }
@@ -515,8 +537,8 @@ void Kernel::sys_sigreturn(u64 skip) {
 
 void Kernel::handle_cam_miss() {
   const u32 pkey = static_cast<u32>(hart_.csrs().stval & 0x3FF);
-  const auto range = current_keys().perm_seal_range(pkey);
-  if (!range.has_value()) {
+  KeyManager& keys = current_keys();
+  if (!keys.perm_seal_range(pkey).has_value()) {
     // SealReg says sealed but the kernel has no range on file — treat as a
     // violation (cannot legitimately happen through the syscall interface).
     fatal_fault(core::TrapCause::kSealViolation);
@@ -531,8 +553,9 @@ void Kernel::handle_cam_miss() {
     return;
   }
   ++stats_.cam_refills;
+  const std::optional<SealRange> range =
+      refill_cam(keys, hart_.seal_unit(), pkey);
   emit(obs::EventKind::kCamRefill, pkey, range->start, range->end);
-  hart_.seal_unit().refill(pkey, range->start, range->end);
   if (config_.cam_refill_dup && config_.cam_refill_dup()) {
     // Injected duplicate: the entry lands a second time in the FIFO slot,
     // wasting a CAM line until the auditor dedups it.
@@ -1098,9 +1121,7 @@ i64 Kernel::sys_munmap(u64 addr, u64 len) {
 
 i64 Kernel::sys_mprotect(u64 addr, u64 len, u64 prot) {
   const auto& t = hart_.timing();
-  KeyManager& keys = current_keys();
-  const i64 pages = current_aspace().protect(
-      addr, len, prot, [&keys](u32 pkey) { return keys.domain_sealed(pkey); });
+  const i64 pages = current_aspace().protect(addr, len, prot, current_keys());
   hart_.add_cycles(t.vma_lookup_cycles);
   if (pages >= 0) {
     hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles +
@@ -1114,33 +1135,42 @@ i64 Kernel::sys_mprotect(u64 addr, u64 len, u64 prot) {
   return pages;
 }
 
-i64 Kernel::sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey) {
+// pkey_mprotect's page-table half, shared with the vkey re-key path:
+// rewrite the PTEs under the shared seal veto, keep the page counters, and
+// charge the VMA walk and PTE writes. Callers add the TLB flush (per call,
+// or batched by the vkey table).
+i64 Kernel::rekey_pages(u64 addr, u64 len, u64 prot, u32 pkey) {
   const auto& t = hart_.timing();
-  KeyManager& keys = current_keys();
-  if (!keys.assignable(static_cast<u32>(pkey))) return err::kInval;
   const i64 pages = current_aspace().protect_pkey(
-      addr, len, prot, static_cast<u32>(pkey),
-      [&keys](u32 k) { return keys.domain_sealed(k); },
-      [&keys](u32 k) { return keys.pages_sealed(k); }, page_delta_hook());
+      addr, len, prot, pkey, current_keys(), page_delta_hook());
   hart_.add_cycles(t.vma_lookup_cycles);
   if (pages >= 0) {
-    hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles +
-                     t.tlb_flush_cycles);
+    hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles);
     stats_.pte_pages_updated += static_cast<u64>(pages);
-    hart_.flush_tlbs();
-    emit(obs::EventKind::kPkeyMprotect, static_cast<u32>(pkey), addr,
-         static_cast<u64>(pages));
-    return 0;
   }
   return pages;
+}
+
+i64 Kernel::sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey) {
+  const u32 k = static_cast<u32>(pkey);
+  if (const i64 rc = pkey_mprotect_admit(current_keys(), k); rc != 0) {
+    return rc;
+  }
+  const i64 pages = rekey_pages(addr, len, prot, k);
+  if (pages < 0) return pages;
+  hart_.add_cycles(hart_.timing().tlb_flush_cycles);
+  hart_.flush_tlbs();
+  emit(obs::EventKind::kPkeyMprotect, k, addr, static_cast<u64>(pages));
+  return 0;
 }
 
 i64 Kernel::sys_pkey_alloc(u64 flags, u64 init_perm) {
   if (flags != 0 || init_perm > 3) return err::kInval;
   hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  const i64 pkey = current_keys().alloc();
+  KernelPkrPort pkr(*this);
+  const i64 pkey =
+      pkey_alloc(current_keys(), pkr, static_cast<u8>(init_perm));
   if (pkey >= 0) {
-    set_hw_pkey_perm(static_cast<u32>(pkey), static_cast<u8>(init_perm));
     emit(obs::EventKind::kPkeyAlloc, static_cast<u32>(pkey), init_perm, 0);
   }
   return pkey;
@@ -1149,35 +1179,15 @@ i64 Kernel::sys_pkey_alloc(u64 flags, u64 init_perm) {
 i64 Kernel::sys_pkey_free(u64 pkey) {
   hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
   KeyManager& keys = current_keys();
-  const i64 rc = keys.free_key(static_cast<u32>(pkey));
+  const u32 k = static_cast<u32>(pkey);
+  KernelPkrPort pkr(*this);
+  // The Intel-MPK flavour frees eagerly and leaves PKRU and the PTEs
+  // untouched, reproducing Linux's pkey use-after-free bug.
+  const i64 rc = hart_.config().flavor == core::IsaFlavor::kSealPk
+                     ? pkey_free(keys, pkr, hart_.seal_unit(), k)
+                     : keys.free_key(k);
   if (rc != 0) return rc;
-  emit(obs::EventKind::kPkeyFree, static_cast<u32>(pkey),
-       keys.page_count(static_cast<u32>(pkey)), 0);
-  if (hart_.config().flavor == core::IsaFlavor::kSealPk) {
-    // Lazy de-allocation (§III-B.1): clear the key's PKR permission to
-    // (0,0) so the page-table permissions alone govern its orphan pages,
-    // in the current thread and in every sibling's saved PKR.
-    set_hw_pkey_perm(static_cast<u32>(pkey), 0);
-    Process& proc = current_process();
-    for (const int tid : proc.thread_tids) {
-      Thread& th = thread(tid);
-      const u32 row = hw::pkr_row_of(static_cast<u32>(pkey));
-      const u32 slot = hw::pkr_slot_of(static_cast<u32>(pkey));
-      th.ctx.pkr[row] =
-          deposit(th.ctx.pkr[row], 2 * slot + 1, 2 * slot, 0);
-    }
-    // Immediate full release: when no page carries the key, free_key()
-    // scrubbed the bookkeeping without going through the lazy quarantine,
-    // so the drained hook never fires. Dissolve the hardware seal state
-    // here too, or a future pkey_alloc would hand out a key whose SealReg
-    // bit and PK-CAM entry still belong to the previous owner (found by
-    // the model checker; replayed in tests/model_traces/).
-    if (!keys.dirty(static_cast<u32>(pkey))) {
-      hart_.seal_unit().clear_key(static_cast<u32>(pkey));
-    }
-  }
-  // The Intel-MPK flavour intentionally leaves PKRU and the PTEs untouched,
-  // reproducing Linux's eager-free semantics (the use-after-free bug).
+  emit(obs::EventKind::kPkeyFree, k, keys.page_count(k), 0);
   return 0;
 }
 
@@ -1196,14 +1206,11 @@ i64 Kernel::sys_pkey_perm_seal(u64 pkey) {
   const auto& t = hart_.timing();
   hart_.add_cycles(t.pkey_bookkeeping_cycles);
   const SealRange range{hart_.csrs().seal_start, hart_.csrs().seal_end};
-  const i64 rc =
-      current_keys().set_perm_seal(static_cast<u32>(pkey), range);
+  const i64 rc = pkey_perm_seal(current_keys(), hart_.seal_unit(),
+                                static_cast<u32>(pkey), range);
   if (rc != 0) return rc;
-  // Commit via the supervisor-only custom instruction path (spk.range +
-  // spk.seal) — modelled as direct unit updates with the same cycle cost.
+  // The commit models the supervisor-only spk.range + spk.seal pair.
   hart_.add_cycles(2 * t.rocc_cycles);
-  hart_.seal_unit().set_sealed(static_cast<u32>(pkey));
-  hart_.seal_unit().refill(static_cast<u32>(pkey), range.start, range.end);
   emit(obs::EventKind::kPkeyPermSeal, static_cast<u32>(pkey), range.start,
        range.end);
   return 0;
@@ -1223,19 +1230,7 @@ struct VkeyKernelOps final : mpk::VkeyOps {
   }
 
   i64 rekey(u64 addr, u64 len, u64 prot, u32 pkey) override {
-    KeyManager& keys = k.current_keys();
-    const i64 pages = k.current_aspace().protect_pkey(
-        addr, len, prot, pkey,
-        [&keys](u32 key) { return keys.domain_sealed(key); },
-        [&keys](u32 key) { return keys.pages_sealed(key); },
-        k.page_delta_hook());
-    k.hart_.add_cycles(k.hart_.timing().vma_lookup_cycles);
-    if (pages >= 0) {
-      k.hart_.add_cycles(static_cast<u64>(pages) *
-                         k.hart_.timing().pte_update_cycles);
-      k.stats_.pte_pages_updated += static_cast<u64>(pages);
-    }
-    return pages;
+    return k.rekey_pages(addr, len, prot, pkey);
   }
 
   void set_perm(u32 pkey, u8 perm) override { k.set_hw_pkey_perm(pkey, perm); }

@@ -275,6 +275,8 @@ class Kernel {
   // The VkeyOps adapter (kernel.cpp) that maps the vkey table's side-effect
   // port onto AddressSpace / PKR / TLB mechanisms.
   friend struct VkeyKernelOps;
+  // The PkrPort (os/pkey_core.h) the shared pkey rules write through.
+  friend struct KernelPkrPort;
 
   Process& current_process() { return *processes_.at(thread(current_tid_).pid); }
   KeyManager& current_keys() { return *current_process().keys; }
@@ -285,6 +287,7 @@ class Kernel {
   i64 sys_munmap(u64 addr, u64 len);
   i64 sys_mprotect(u64 addr, u64 len, u64 prot);
   i64 sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey);
+  i64 rekey_pages(u64 addr, u64 len, u64 prot, u32 pkey);
   i64 sys_pkey_alloc(u64 flags, u64 init_perm);
   i64 sys_pkey_free(u64 pkey);
   i64 sys_pkey_seal(u64 pkey, u64 seal_domain, u64 seal_page);

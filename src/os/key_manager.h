@@ -127,11 +127,7 @@ class SealPkKeyManager : public KeyManager {
     const i64 next = static_cast<i64>(counter_[pkey]) + pages;
     SEALPK_CHECK_MSG(next >= 0, "pkey page counter underflow");
     counter_[pkey] = static_cast<u64>(next);
-    if (counter_[pkey] == 0 && dirty_[pkey]) {
-      dirty_.reset(pkey);
-      scrub(pkey);
-      if (drained_) drained_(pkey);
-    }
+    drain_if_empty(pkey);
   }
 
   u64 page_count(u32 pkey) const override {
@@ -142,12 +138,7 @@ class SealPkKeyManager : public KeyManager {
   void reconcile_page_count(u32 pkey, u64 pages) override {
     SEALPK_CHECK(pkey < hw::kNumPkeys);
     counter_[pkey] = pages;
-    // The reconciled truth may complete a pending lazy-free drain.
-    if (counter_[pkey] == 0 && dirty_[pkey]) {
-      dirty_.reset(pkey);
-      scrub(pkey);
-      if (drained_) drained_(pkey);
-    }
+    drain_if_empty(pkey);  // the reconciled truth may complete a drain
   }
 
   i64 seal(u32 pkey, bool domain, bool page) override {
@@ -206,6 +197,13 @@ class SealPkKeyManager : public KeyManager {
   }
 
  private:
+  // Completes a lazy free once the quarantined key's last page is gone.
+  void drain_if_empty(u32 pkey) {
+    if (counter_[pkey] != 0 || !dirty_[pkey]) return;
+    scrub(pkey);
+    if (drained_) drained_(pkey);
+  }
+
   // Full release: the key was freed and no page carries it any more, so
   // every seal attached to it dissolves (paper §IV: "the seal cannot be
   // broken unless the corresponding pkey and all its associated pages are

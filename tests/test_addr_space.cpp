@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "os/addr_space.h"
+#include "os/key_manager.h"
 #include "os/syscall_abi.h"
 
 namespace sealpk::os {
@@ -19,7 +20,16 @@ class AddrSpaceTest : public ::testing::Test {
   mem::PhysMem mem_;
   FrameAllocator frames_;
   AddressSpace aspace_;
+  SealPkKeyManager keys_;  // nothing sealed: no call is vetoed
 };
+
+// A key manager with keys 1..6 allocated and `pkey` sealed as asked.
+SealPkKeyManager sealed_keys(u32 pkey, bool domain, bool page) {
+  SealPkKeyManager keys;
+  for (int i = 0; i < 6; ++i) keys.alloc();
+  EXPECT_EQ(keys.seal(pkey, domain, page), 0);
+  return keys;
+}
 
 TEST_F(AddrSpaceTest, MapPicksAddressesAndBuildsPtes) {
   const i64 addr = aspace_.map(0, 8192, prot::kRead | prot::kWrite, 7);
@@ -78,7 +88,7 @@ TEST_F(AddrSpaceTest, PartialUnmapSplitsVma) {
 TEST_F(AddrSpaceTest, ProtectSubRangeSplitsAndUpdates) {
   const i64 addr = aspace_.map(0, 4 * 4096, prot::kRead | prot::kWrite);
   const u64 base = static_cast<u64>(addr);
-  ASSERT_EQ(aspace_.protect(base + 4096, 2 * 4096, prot::kRead), 2);
+  ASSERT_EQ(aspace_.protect(base + 4096, 2 * 4096, prot::kRead, keys_), 2);
   // The middle pages lost W; the edges kept it.
   EXPECT_TRUE((*aspace_.leaf_pte(base) & mem::pte::kW) != 0);
   EXPECT_FALSE((*aspace_.leaf_pte(base + 4096) & mem::pte::kW) != 0);
@@ -89,14 +99,17 @@ TEST_F(AddrSpaceTest, ProtectSubRangeSplitsAndUpdates) {
 
 TEST_F(AddrSpaceTest, ProtectOnHoleReturnsEnomem) {
   const i64 addr = aspace_.map(0, 4096, prot::kRead);
-  EXPECT_EQ(aspace_.protect(static_cast<u64>(addr), 2 * 4096, prot::kRead),
+  EXPECT_EQ(
+      aspace_.protect(static_cast<u64>(addr), 2 * 4096, prot::kRead, keys_),
+      err::kNoMem);
+  EXPECT_EQ(aspace_.protect(0x7000'0000, 4096, prot::kRead, keys_),
             err::kNoMem);
-  EXPECT_EQ(aspace_.protect(0x7000'0000, 4096, prot::kRead), err::kNoMem);
 }
 
 TEST_F(AddrSpaceTest, ProtectPreservesPkey) {
   const i64 addr = aspace_.map(0, 4096, prot::kRead | prot::kWrite, 42);
-  ASSERT_EQ(aspace_.protect(static_cast<u64>(addr), 4096, prot::kRead), 1);
+  ASSERT_EQ(aspace_.protect(static_cast<u64>(addr), 4096, prot::kRead, keys_),
+            1);
   EXPECT_EQ(aspace_.page_pkey(static_cast<u64>(addr)), 42u);
 }
 
@@ -108,7 +121,7 @@ TEST_F(AddrSpaceTest, ProtectPkeyMaintainsCounters) {
   const i64 addr = aspace_.map(0, 2 * 4096, prot::kRead, 0, delta);
   EXPECT_EQ(counters[0], 2);
   ASSERT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 2 * 4096,
-                                 prot::kRead, 9, nullptr, nullptr, delta),
+                                 prot::kRead, 9, keys_, delta),
             2);
   EXPECT_EQ(counters[0], 0);
   EXPECT_EQ(counters[9], 2);
@@ -118,15 +131,15 @@ TEST_F(AddrSpaceTest, ProtectPkeyMaintainsCounters) {
 
 TEST_F(AddrSpaceTest, ProtectPkeySealVetoes) {
   const i64 addr = aspace_.map(0, 4096, prot::kRead, 5);
-  const auto domain_sealed = [](u32 pkey) { return pkey == 5; };
-  const auto pages_sealed = [](u32 pkey) { return pkey == 6; };
+  const SealPkKeyManager domain_sealed = sealed_keys(5, true, false);
+  const SealPkKeyManager pages_sealed = sealed_keys(6, false, true);
   // Re-keying pages of the sealed domain 5 fails...
   EXPECT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 4096, prot::kRead,
-                                 7, domain_sealed, nullptr, nullptr),
+                                 7, domain_sealed, nullptr),
             err::kPerm);
   // ...adding pages to the page-sealed domain 6 fails...
   EXPECT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 4096, prot::kRead,
-                                 6, nullptr, pages_sealed, nullptr),
+                                 6, pages_sealed, nullptr),
             err::kPerm);
   // ...and the PTE is untouched by the failed calls.
   EXPECT_EQ(aspace_.page_pkey(static_cast<u64>(addr)), 5u);
@@ -135,7 +148,7 @@ TEST_F(AddrSpaceTest, ProtectPkeySealVetoes) {
 TEST_F(AddrSpaceTest, ProtectPkeyRejectsOversizedKey) {
   const i64 addr = aspace_.map(0, 4096, prot::kRead);
   EXPECT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 4096, prot::kRead,
-                                 1024, nullptr, nullptr, nullptr),
+                                 1024, keys_, nullptr),
             err::kInval);
 }
 
@@ -181,8 +194,7 @@ TEST_F(AddrSpaceTest, PropertyRandomOpsKeepCountersConsistent) {
     } else if (op == 1 && !regions.empty()) {  // re-key
       const auto [addr, len] = regions[rng.below(regions.size())];
       aspace_.protect_pkey(addr, len, prot::kRead,
-                           static_cast<u32>(rng.below(16)), nullptr,
-                           nullptr, delta);
+                           static_cast<u32>(rng.below(16)), keys_, delta);
     } else if (op == 2 && !regions.empty()) {  // unmap
       const size_t idx = rng.below(regions.size());
       const auto [addr, len] = regions[idx];

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 
 #include "fleet/engine.h"
 #include "fleet/report.h"
@@ -303,6 +304,45 @@ TEST(Fleet, SuiteGeomeansMatchTheFig5Math) {
   EXPECT_LT(fleet::gmean_overhead(results, wl::Suite::kSpec2000,
                                   passes::ShadowStackKind::kMprotect),
             0.0);
+}
+
+TEST(Fleet, SuiteGeomeansCountOnlyCompletedPairs) {
+  // A timed-out job's cycles are a truncated run, not an overhead: neither
+  // a failed variant nor a failed baseline may enter a suite geomean.
+  const wl::Workload& qsort = named("qsort", wl::Suite::kMiBench);
+  const auto jobs = [&](bool strangle_base, bool strangle_variant) {
+    std::vector<fleet::JobSpec> specs;
+    specs.push_back(run_spec(0, qsort, passes::ShadowStackKind::kNone));
+    specs.push_back(run_spec(1, qsort, passes::ShadowStackKind::kMprotect));
+    if (strangle_base) specs[0].budget = 1'000;
+    if (strangle_variant) specs[1].budget = 1'000;
+    fleet::ImageCache cache;
+    return fleet::run_jobs(specs, cache, fleet::FleetOptions{});
+  };
+  const auto gmean = [](const std::vector<fleet::JobResult>& results) {
+    return fleet::gmean_overhead(results, wl::Suite::kMiBench,
+                                 passes::ShadowStackKind::kMprotect);
+  };
+
+  const auto both_failed = jobs(true, true);
+  ASSERT_FALSE(both_failed[0].ok);
+  ASSERT_FALSE(both_failed[1].ok);
+  EXPECT_LT(gmean(both_failed), 0.0);
+  fleet::ReportOptions opts;
+  opts.canonical = true;
+  std::ostringstream report;
+  fleet::write_report(report, both_failed, opts);
+  EXPECT_NE(report.str().find("\"geomeans\": [],"), std::string::npos)
+      << report.str();
+
+  const auto variant_failed = jobs(false, true);
+  ASSERT_TRUE(variant_failed[0].ok) << variant_failed[0].verdict;
+  ASSERT_FALSE(variant_failed[1].ok);
+  EXPECT_LT(gmean(variant_failed), 0.0);
+
+  const auto completed = jobs(false, false);
+  ASSERT_TRUE(completed[1].ok) << completed[1].verdict;
+  EXPECT_GT(gmean(completed), 0.0);
 }
 
 // --- reports ----------------------------------------------------------------
