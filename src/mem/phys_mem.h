@@ -3,9 +3,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bits.h"
@@ -17,15 +17,29 @@ namespace sealpk::mem {
 constexpr u64 kPageSize = 4096;
 constexpr unsigned kPageShift = 12;
 
+// Largest physical memory a PhysMem may model: 16 GiB, i.e. a page table of
+// at most 32 MiB of pointers. Snapshot blobs carry the memory size, so the
+// cap keeps a hostile blob from sizing an unbounded host allocation.
+constexpr u64 kMaxPhysBytes = u64{16} << 30;
+
+// Word accesses copy the host representation straight into the guest's
+// little-endian memory.
+static_assert(std::endian::native == std::endian::little,
+              "PhysMem assumes a little-endian host");
+
 // Physical memory, page-granular and lazily materialised. Reads of
 // never-written pages return zero, like freshly initialised DRAM in the
 // simulator. All accesses are bounds-checked against the configured size
 // (the Zedboard used in the paper has 256 MiB).
+//
+// The page table is direct-indexed (one slot per physical page, null until
+// the page is first written), so finding a page is an index and a null
+// check. Word accesses inside one page are a single memcpy; bulk ops work in
+// page chunks and check their whole range up front.
 class PhysMem {
  public:
-  explicit PhysMem(u64 size_bytes = 256 * 1024 * 1024) : size_(size_bytes) {
-    SEALPK_CHECK(size_bytes % kPageSize == 0);
-  }
+  explicit PhysMem(u64 size_bytes = 256 * 1024 * 1024)
+      : size_(size_bytes), pages_(page_count(size_bytes)) {}
 
   u64 size() const { return size_; }
 
@@ -43,22 +57,35 @@ class PhysMem {
   void write_u64(u64 addr, u64 v) { write_le(addr, v); }
 
   void read_bytes(u64 addr, u8* out, u64 len) const {
-    for (u64 i = 0; i < len; ++i) out[i] = read_u8(addr + i);
+    check_range(addr, len, "read");
+    for_each_chunk(addr, len, [&](u64 index, u64 off, u64 done, u64 chunk) {
+      const Page* page = pages_[index].get();
+      std::memcpy(out + done, (page ? page : &kZeroPage)->data() + off, chunk);
+    });
   }
 
   void write_bytes(u64 addr, const u8* in, u64 len) {
-    for (u64 i = 0; i < len; ++i) write_u8(addr + i, in[i]);
+    check_range(addr, len, "write");
+    for_each_chunk(addr, len, [&](u64 index, u64 off, u64 done, u64 chunk) {
+      std::memcpy(materialize(index).data() + off, in + done, chunk);
+    });
   }
 
+  // Zero-filling a never-written page leaves it unmaterialised: it already
+  // reads zero.
   void fill(u64 addr, u8 value, u64 len) {
-    for (u64 i = 0; i < len; ++i) write_u8(addr + i, value);
+    check_range(addr, len, "write");
+    for_each_chunk(addr, len, [&](u64 index, u64 off, u64, u64 chunk) {
+      if (value == 0 && pages_[index] == nullptr) return;
+      std::memset(materialize(index).data() + off, value, chunk);
+    });
   }
 
   bool contains(u64 addr, u64 len = 1) const {
     return addr < size_ && len <= size_ - addr;
   }
 
-  size_t materialized_pages() const { return pages_.size(); }
+  size_t materialized_pages() const { return materialized_; }
 
   // Snapshot port. Pages are emitted in ascending index order and all-zero
   // pages are elided, so the encoding is canonical: two memories with equal
@@ -67,58 +94,100 @@ class PhysMem {
   void save_state(ByteWriter& w) const {
     w.put_u64(size_);
     std::vector<u64> indices;
-    indices.reserve(pages_.size());
-    static const Page kZero{};
-    for (const auto& [index, page] : pages_) {
-      if (*page != kZero) indices.push_back(index);
+    indices.reserve(materialized_);
+    for (u64 index = 0; index < pages_.size(); ++index) {
+      const Page* page = pages_[index].get();
+      if (page != nullptr && *page != kZeroPage) indices.push_back(index);
     }
-    std::sort(indices.begin(), indices.end());
     w.put_u64(indices.size());
     for (u64 index : indices) {
       w.put_u64(index);
-      w.put_bytes(pages_.at(index)->data(), kPageSize);
+      w.put_bytes(pages_[index]->data(), kPageSize);
     }
   }
   void load_state(ByteReader& r) {
     const u64 size = r.get_u64();
     SEALPK_CHECK_MSG(size == size_, "phys size mismatch: snapshot has "
                                         << size << ", machine has " << size_);
-    pages_.clear();
+    for (auto& page : pages_) page.reset();
+    materialized_ = 0;
     const u64 count = r.get_u64();
     for (u64 i = 0; i < count; ++i) {
       const u64 index = r.get_u64();
-      SEALPK_CHECK_MSG(index < (size_ >> kPageShift),
+      SEALPK_CHECK_MSG(index < pages_.size(),
                        "snapshot page index out of range: " << index);
-      auto page = std::make_unique<Page>();
-      r.get_bytes(page->data(), kPageSize);
-      pages_[index] = std::move(page);
+      SEALPK_CHECK_MSG(pages_[index] == nullptr,
+                       "duplicate snapshot page index: " << index);
+      r.get_bytes(materialize(index).data(), kPageSize);
     }
   }
 
  private:
   using Page = std::array<u8, kPageSize>;
-  static const Page kZeroPage;
+  static inline const Page kZeroPage{};
+
+  static u64 page_count(u64 size_bytes) {
+    SEALPK_CHECK(size_bytes % kPageSize == 0);
+    SEALPK_CHECK_MSG(size_bytes <= kMaxPhysBytes,
+                     "phys size 0x" << std::hex << size_bytes
+                                    << " exceeds the cap 0x" << kMaxPhysBytes);
+    return size_bytes >> kPageShift;
+  }
 
   const Page& page_at(u64 addr) const {
     SEALPK_CHECK_MSG(contains(addr), "phys read out of range 0x" << std::hex
                                                                  << addr);
-    auto it = pages_.find(addr >> kPageShift);
-    return it == pages_.end() ? kZeroPage : *it->second;
+    const Page* page = pages_[addr >> kPageShift].get();
+    return page == nullptr ? kZeroPage : *page;
   }
 
   Page& mutable_page(u64 addr) {
     SEALPK_CHECK_MSG(contains(addr), "phys write out of range 0x" << std::hex
                                                                   << addr);
-    auto& slot = pages_[addr >> kPageShift];
-    if (!slot) slot = std::make_unique<Page>(Page{});
+    return materialize(addr >> kPageShift);
+  }
+
+  Page& materialize(u64 index) {
+    auto& slot = pages_[index];
+    if (slot == nullptr) {
+      slot = std::make_unique<Page>();
+      ++materialized_;
+    }
     return *slot;
+  }
+
+  // Bulk ops check their whole range before touching memory, so one that
+  // runs past the end throws and leaves memory unchanged. A zero-length op
+  // is a no-op wherever it points.
+  void check_range(u64 addr, u64 len, const char* what) const {
+    SEALPK_CHECK_MSG(len == 0 || contains(addr, len),
+                     "phys " << what << " out of range 0x" << std::hex << addr
+                             << "+0x" << len);
+  }
+
+  // Calls fn(page index, offset in page, bytes done so far, chunk length)
+  // for each page-bounded chunk of [addr, addr + len).
+  template <typename Fn>
+  static void for_each_chunk(u64 addr, u64 len, Fn&& fn) {
+    for (u64 done = 0; done < len;) {
+      const u64 at = addr + done;
+      const u64 off = at % kPageSize;
+      const u64 chunk = std::min(len - done, kPageSize - off);
+      fn(at >> kPageShift, off, done, chunk);
+      done += chunk;
+    }
   }
 
   template <typename T>
   T read_le(u64 addr) const {
+    const u64 off = addr % kPageSize;
+    T v{};
+    if (off <= kPageSize - sizeof(T)) {
+      std::memcpy(&v, page_at(addr).data() + off, sizeof(T));
+      return v;
+    }
     // Accesses in the simulated machine may be misaligned across pages;
     // assemble byte-wise (the hart enforces its own alignment policy).
-    T v{};
     for (unsigned i = 0; i < sizeof(T); ++i)
       v |= static_cast<T>(static_cast<T>(read_u8(addr + i)) << (8 * i));
     return v;
@@ -126,12 +195,18 @@ class PhysMem {
 
   template <typename T>
   void write_le(u64 addr, T v) {
+    const u64 off = addr % kPageSize;
+    if (off <= kPageSize - sizeof(T)) {
+      std::memcpy(mutable_page(addr).data() + off, &v, sizeof(T));
+      return;
+    }
     for (unsigned i = 0; i < sizeof(T); ++i)
       write_u8(addr + i, static_cast<u8>(v >> (8 * i)));
   }
 
   u64 size_;
-  std::unordered_map<u64, std::unique_ptr<Page>> pages_;
+  std::vector<std::unique_ptr<Page>> pages_;
+  size_t materialized_ = 0;
 };
 
 }  // namespace sealpk::mem

@@ -165,7 +165,12 @@ class Tlb {
       slot.entry.pkey = r.get_u16();
       slot.valid = r.get_bool();
     }
-    next_victim_ = static_cast<size_t>(r.get_u64());
+    const u64 next_victim = r.get_u64();
+    SEALPK_CHECK_MSG(next_victim < entries_.size(),
+                     "TLB victim cursor " << next_victim
+                                          << " out of range for "
+                                          << entries_.size() << " slots");
+    next_victim_ = static_cast<size_t>(next_victim);
     stats_.hits = r.get_u64();
     stats_.misses = r.get_u64();
     stats_.flushes = r.get_u64();

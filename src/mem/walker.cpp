@@ -2,8 +2,6 @@
 
 namespace sealpk::mem {
 
-const PhysMem::Page PhysMem::kZeroPage{};
-
 namespace {
 
 WalkResult walk_impl(const PhysMem& mem, PhysMem* wmem, u64 root_ppn,

@@ -6,6 +6,7 @@
 #include "common/checksum.h"
 #include "common/serial.h"
 #include "fault/fault.h"
+#include "mem/phys_mem.h"
 
 namespace sealpk::snapshot {
 
@@ -122,6 +123,14 @@ sim::MachineConfig load_config(ByteReader& r, u32 version) {
   cfg.kernel.stack_pages = r.get_u64();
   cfg.kernel.sv48 = r.get_bool();
   cfg.mem_bytes = r.get_u64();
+  // Checked before any Machine exists: the size sizes the page table.
+  if (cfg.mem_bytes == 0 || cfg.mem_bytes % mem::kPageSize != 0 ||
+      cfg.mem_bytes > mem::kMaxPhysBytes) {
+    std::ostringstream os;
+    os << "snapshot mem_bytes " << cfg.mem_bytes
+       << " is not a nonzero page multiple of at most " << mem::kMaxPhysBytes;
+    fail(os.str());
+  }
   cfg.preempt_quantum = r.get_u64();
   cfg.fault_plan.enabled = r.get_bool();
   cfg.fault_plan.seed = r.get_u64();

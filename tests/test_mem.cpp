@@ -64,6 +64,175 @@ TEST(PhysMem, BulkOps) {
   EXPECT_EQ(mem.read_u64(0x100), 0xEEEEEEEEEEEEEEEEULL);
 }
 
+// Every word width at every offset across the end of a page: the in-page
+// memcpy path and the page-straddling byte loop both agree with a
+// byte-by-byte assembly, for reads and writes.
+template <typename T>
+void check_word_near_page_end(PhysMem& mem) {
+  for (u64 addr = kPageSize - 8; addr <= kPageSize; ++addr) {
+    SCOPED_TRACE(addr);
+    for (u64 i = 0; i < 16; ++i) {
+      mem.write_u8(kPageSize - 8 + i, static_cast<u8>(0xA0 + i));
+    }
+    T want = 0;
+    for (unsigned i = 0; i < sizeof(T); ++i) {
+      want |= static_cast<T>(static_cast<T>(mem.read_u8(addr + i)) << (8 * i));
+    }
+    T got = 0;
+    if constexpr (sizeof(T) == 2) got = mem.read_u16(addr);
+    if constexpr (sizeof(T) == 4) got = mem.read_u32(addr);
+    if constexpr (sizeof(T) == 8) got = mem.read_u64(addr);
+    EXPECT_EQ(got, want);
+
+    const T value = static_cast<T>(0x8877665544332211ULL);
+    if constexpr (sizeof(T) == 2) mem.write_u16(addr, value);
+    if constexpr (sizeof(T) == 4) mem.write_u32(addr, value);
+    if constexpr (sizeof(T) == 8) mem.write_u64(addr, value);
+    for (u64 i = 0; i < 16; ++i) {
+      const u64 at = kPageSize - 8 + i;
+      const u8 expect = at >= addr && at < addr + sizeof(T)
+                            ? static_cast<u8>(value >> (8 * (at - addr)))
+                            : static_cast<u8>(0xA0 + i);
+      EXPECT_EQ(mem.read_u8(at), expect) << "byte " << at;
+    }
+  }
+}
+
+TEST(PhysMem, WordAccessesNearPageEndMatchByteAssembly) {
+  PhysMem mem(1 << 20);
+  check_word_near_page_end<u16>(mem);
+  check_word_near_page_end<u32>(mem);
+  check_word_near_page_end<u64>(mem);
+}
+
+TEST(PhysMem, BulkRoundTripOverThreePages) {
+  PhysMem mem(1 << 20);
+  std::vector<u8> data(3 * kPageSize);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<u8>(i * 7 + 3);
+  }
+  const u64 base = 5 * kPageSize + 100;  // unaligned: touches four pages
+  mem.write_bytes(base, data.data(), data.size());
+  std::vector<u8> back(data.size());
+  mem.read_bytes(base, back.data(), back.size());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(mem.read_u8(base - 1), 0u);
+  EXPECT_EQ(mem.read_u8(base + data.size()), 0u);
+  EXPECT_EQ(mem.materialized_pages(), 4u);
+}
+
+TEST(PhysMem, ZeroFillLeavesFreshMemoryUnmaterialised) {
+  PhysMem mem(1 << 20);
+  mem.fill(0, 0, 1 << 20);
+  EXPECT_EQ(mem.materialized_pages(), 0u);
+  EXPECT_EQ(mem.read_u64(0x1234), 0u);
+}
+
+TEST(PhysMem, ZeroFillZeroesDirtyPage) {
+  PhysMem mem(1 << 20);
+  mem.fill(2 * kPageSize, 0xEE, kPageSize);
+  ASSERT_EQ(mem.materialized_pages(), 1u);
+  mem.fill(2 * kPageSize + 8, 0, 16);
+  EXPECT_EQ(mem.read_u64(2 * kPageSize), 0xEEEEEEEEEEEEEEEEULL);
+  EXPECT_EQ(mem.read_u64(2 * kPageSize + 8), 0u);
+  EXPECT_EQ(mem.read_u64(2 * kPageSize + 16), 0u);
+  EXPECT_EQ(mem.read_u8(2 * kPageSize + 24), 0xEE);
+  mem.fill(2 * kPageSize, 0, kPageSize);
+  for (u64 i = 0; i < kPageSize; i += 8) {
+    EXPECT_EQ(mem.read_u64(2 * kPageSize + i), 0u);
+  }
+}
+
+std::vector<u8> saved(const PhysMem& mem) {
+  ByteWriter w;
+  mem.save_state(w);
+  return w.take();
+}
+
+TEST(PhysMem, WrittenThenZeroedSavesLikeNeverWritten) {
+  PhysMem never(1 << 20);
+  PhysMem zeroed(1 << 20);
+  zeroed.write_u64(0x3000, 0xDEADBEEF);
+  zeroed.fill(0x8000, 0x5A, 3 * kPageSize);
+  zeroed.write_u64(0x3000, 0);
+  zeroed.fill(0x8000, 0, 3 * kPageSize);
+  EXPECT_GT(zeroed.materialized_pages(), 0u);
+  EXPECT_EQ(saved(zeroed), saved(never));
+}
+
+TEST(PhysMem, SaveLoadRoundTripsInIndexOrder) {
+  PhysMem mem(1 << 20);
+  mem.write_u32(9 * kPageSize, 9);  // materialised before the lower pages
+  mem.write_u32(2 * kPageSize, 2);
+  mem.write_u32(5 * kPageSize, 5);
+  const std::vector<u8> blob = saved(mem);
+  ByteReader r(blob);
+  EXPECT_EQ(r.get_u64(), u64{1 << 20});
+  ASSERT_EQ(r.get_u64(), 3u);
+  std::vector<u8> page(kPageSize);
+  for (u64 want : {2, 5, 9}) {
+    EXPECT_EQ(r.get_u64(), want);
+    r.get_bytes(page.data(), page.size());
+  }
+
+  PhysMem copy(1 << 20);
+  copy.write_u8(7 * kPageSize, 1);  // dropped by the load
+  ByteReader in(blob);
+  copy.load_state(in);
+  EXPECT_EQ(copy.read_u8(7 * kPageSize), 0u);
+  EXPECT_EQ(copy.read_u32(5 * kPageSize), 5u);
+  EXPECT_EQ(copy.materialized_pages(), 3u);
+  EXPECT_EQ(saved(copy), blob);
+}
+
+TEST(PhysMem, LoadStateRejectsDuplicatePageIndex) {
+  ByteWriter w;
+  w.put_u64(1 << 20);
+  w.put_u64(2);
+  const std::vector<u8> page(kPageSize, 0x11);
+  for (int i = 0; i < 2; ++i) {
+    w.put_u64(3);
+    w.put_bytes(page.data(), page.size());
+  }
+  const std::vector<u8> blob = w.take();
+  PhysMem mem(1 << 20);
+  ByteReader r(blob);
+  EXPECT_THROW(mem.load_state(r), CheckError);
+}
+
+TEST(PhysMem, ZeroLengthBulkOpsAtEndAreNoOps) {
+  PhysMem mem(1 << 20);
+  u8 byte = 0x77;
+  EXPECT_NO_THROW(mem.read_bytes(mem.size(), &byte, 0));
+  EXPECT_NO_THROW(mem.write_bytes(mem.size(), &byte, 0));
+  EXPECT_NO_THROW(mem.fill(mem.size(), 0xFF, 0));
+  EXPECT_EQ(byte, 0x77);
+  EXPECT_EQ(mem.materialized_pages(), 0u);
+}
+
+TEST(PhysMem, BulkOpPastEndThrowsAndLeavesMemoryUnchanged) {
+  PhysMem mem(1 << 20);
+  mem.fill(mem.size() - kPageSize, 0x33, kPageSize);
+  const std::vector<u8> before = saved(mem);
+  const std::vector<u8> data(2 * kPageSize, 0xCC);
+  const u64 start = mem.size() - kPageSize - 16;
+  EXPECT_THROW(mem.write_bytes(start, data.data(), data.size()), CheckError);
+  EXPECT_THROW(mem.fill(start, 0xCC, data.size()), CheckError);
+  EXPECT_THROW(mem.fill(start, 0, data.size()), CheckError);
+  std::vector<u8> out(data.size(), 0xAB);
+  EXPECT_THROW(mem.read_bytes(start, out.data(), out.size()), CheckError);
+  EXPECT_EQ(out, std::vector<u8>(data.size(), 0xAB));
+  EXPECT_THROW(mem.write_bytes(~u64{0}, data.data(), 2), CheckError);
+  EXPECT_EQ(saved(mem), before);
+  EXPECT_EQ(mem.materialized_pages(), 1u);
+}
+
+TEST(PhysMem, ConstructorChecksSize) {
+  EXPECT_THROW(PhysMem(kPageSize + 1), CheckError);
+  EXPECT_THROW(PhysMem(kMaxPhysBytes + kPageSize), CheckError);
+  EXPECT_EQ(PhysMem(0).size(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // PTE codec.
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/serial.h"
 #include "guest_test_util.h"
+#include "mem/phys_mem.h"
 #include "passes/shadow_stack.h"
 #include "snapshot/snapshot.h"
 #include "workloads/workload.h"
@@ -278,6 +279,96 @@ TEST(SnapshotValidation, RejectsConfigMismatch) {
   other.preempt_quantum = 1;  // differs from the default used in the blob
   sim::Machine machine(other);
   EXPECT_THROW(snapshot::restore(machine, blob), snapshot::SnapshotError);
+}
+
+// Crafted-blob helpers: a snapshot is a 28-byte header (magic, version,
+// payload length, payload checksum) followed by sections, each a fourcc, a
+// u64 body length and the body.
+constexpr size_t kHeaderBytes = 8 + 4 + 8 + 8;
+constexpr size_t kChecksumAt = 8 + 4 + 8;
+
+u64 get_u64_at(const std::vector<u8>& blob, size_t at) {
+  u64 v = 0;
+  for (unsigned i = 0; i < 8; ++i) v |= u64{blob.at(at + i)} << (8 * i);
+  return v;
+}
+
+void put_u64_at(std::vector<u8>& blob, size_t at, u64 v) {
+  for (unsigned i = 0; i < 8; ++i) {
+    blob.at(at + i) = static_cast<u8>(v >> (8 * i));
+  }
+}
+
+// Offset of the body of section `name` (e.g. "DTLB", "CFG ").
+size_t section_body(const std::vector<u8>& blob, const char* name) {
+  u32 want = 0;
+  for (unsigned i = 0; i < 4; ++i) {
+    want |= u32{static_cast<u8>(name[i])} << (8 * i);
+  }
+  for (size_t at = kHeaderBytes; at + 12 <= blob.size();) {
+    const u32 cc = static_cast<u32>(get_u64_at(blob, at) & 0xFFFFFFFFu);
+    const u64 len = get_u64_at(blob, at + 4);
+    if (cc == want) return at + 12;
+    at += 12 + static_cast<size_t>(len);
+  }
+  ADD_FAILURE() << "no section " << name;
+  return 0;
+}
+
+// Recomputes the payload checksum so a patched blob passes the header check
+// and reaches the section decoders.
+void reseal(std::vector<u8>& blob) {
+  put_u64_at(blob, kChecksumAt, checksum64(blob.data() + kHeaderBytes,
+                                          blob.size() - kHeaderBytes));
+}
+
+TEST(SnapshotValidation, RejectsTlbVictimCursorOutOfRange) {
+  const std::vector<u8> blob = small_snapshot();
+  // DTLB body: slot count, then 24 bytes a slot, then the victim cursor.
+  const size_t body = section_body(blob, "DTLB");
+  const u64 slots = get_u64_at(blob, body);
+  ASSERT_GT(slots, 0u);
+  const size_t cursor_at = body + 8 + static_cast<size_t>(slots) * 24;
+
+  std::vector<u8> last = blob;  // the largest valid cursor restores
+  put_u64_at(last, cursor_at, slots - 1);
+  reseal(last);
+  sim::Machine ok_machine(snapshot::config_from(last));
+  EXPECT_NO_THROW(snapshot::restore(ok_machine, last));
+
+  for (u64 cursor : {slots, slots + 1000, ~u64{0}}) {
+    SCOPED_TRACE(cursor);
+    std::vector<u8> bad = blob;
+    put_u64_at(bad, cursor_at, cursor);
+    reseal(bad);
+    sim::Machine machine(snapshot::config_from(bad));
+    EXPECT_THROW(snapshot::restore(machine, bad), snapshot::SnapshotError);
+  }
+}
+
+TEST(SnapshotValidation, RejectsBadMemBytesBeforeBuildingAMachine) {
+  // A distinctive size, so the CFG field can be found by value.
+  sim::MachineConfig config;
+  config.mem_bytes = 0x0ABC'D000;
+  sim::Machine machine(config);
+  const std::vector<u8> blob = snapshot::save(machine);
+  const u64 mem_bytes = config.mem_bytes;
+  const size_t body = section_body(blob, "CFG ");
+  const size_t body_len = static_cast<size_t>(get_u64_at(blob, body - 8));
+  std::vector<size_t> hits;
+  for (size_t at = body; at + 8 <= body + body_len; ++at) {
+    if (get_u64_at(blob, at) == mem_bytes) hits.push_back(at);
+  }
+  ASSERT_EQ(hits.size(), 1u);
+
+  for (u64 bad_size : {u64{0}, mem_bytes + 1,
+                       mem::kMaxPhysBytes + mem::kPageSize}) {
+    SCOPED_TRACE(bad_size);
+    std::vector<u8> bad = blob;
+    put_u64_at(bad, hits[0], bad_size);
+    reseal(bad);
+    EXPECT_THROW(snapshot::config_from(bad), snapshot::SnapshotError);
+  }
 }
 
 TEST(Snapshot, InfoAndDiffReportSections) {
