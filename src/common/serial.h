@@ -117,6 +117,19 @@ class ByteReader {
     return v;
   }
 
+  // An element count for a following sequence whose elements take at least
+  // `min_elem_bytes` (> 0) each. A count the remaining bytes cannot hold is
+  // rejected here, before the caller sizes a container by it.
+  size_t get_count(size_t min_elem_bytes) {
+    const u64 count = get_u64();
+    SEALPK_CHECK_MSG(count <= remaining() / min_elem_bytes,
+                     "serialized count " << count << " of " << min_elem_bytes
+                                         << "-byte elements exceeds the "
+                                         << remaining()
+                                         << " bytes left at " << pos_);
+    return static_cast<size_t>(count);
+  }
+
   template <size_t N>
   std::bitset<N> get_bitset() {
     static_assert(N % 64 == 0, "bitset size must pack into u64 words");

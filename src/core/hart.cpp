@@ -318,39 +318,33 @@ bool Hart::mem_store(u64 vaddr, unsigned size, u64 value) {
   return true;
 }
 
-StepResult Hart::step() {
-  trapped_ = false;
-  next_pc_ = pc_ + 4;
-  cycles_ += config_.timing.base_cycles;
+StepResult Hart::step() { return run(1); }
 
-  u32 word = 0;
-  if (fetch(&word)) {
-    const Inst inst = isa::decode(word);
-    if (trace_hook_) trace_hook_(priv_, pc_, inst);
-    if (inst.op == Op::kIllegal) {
-      raise(TrapCause::kIllegalInst, word);
-    } else {
-      exec(inst);
-    }
-  }
-
-  StepResult result;
-  if (trapped_) {
-    result.kind = StepKind::kTrap;
-    result.cause = trap_cause_;
-  } else {
-    ++instret_;
-  }
-  pc_ = next_pc_;
-  return result;
-}
-
-std::optional<StepResult> Hart::run(u64 max_steps) {
+StepResult Hart::run(u64 max_steps) {
   for (u64 i = 0; i < max_steps; ++i) {
-    const StepResult r = step();
-    if (r.kind == StepKind::kTrap) return r;
+    trapped_ = false;
+    next_pc_ = pc_ + 4;
+    cycles_ += config_.timing.base_cycles;
+
+    u32 word = 0;
+    if (fetch(&word)) {
+      const Inst inst = isa::decode_cached(word);
+      if (trace_hook_) trace_hook_(priv_, pc_, inst);
+      if (inst.op == Op::kIllegal) {
+        raise(TrapCause::kIllegalInst, word);
+      } else {
+        exec(inst);
+      }
+    }
+
+    if (trapped_) {
+      pc_ = next_pc_;
+      return {StepKind::kTrap, trap_cause_};
+    }
+    ++instret_;
+    pc_ = next_pc_;
   }
-  return std::nullopt;
+  return {};
 }
 
 bool Hart::exec(const Inst& inst) {

@@ -84,9 +84,11 @@ class Hart {
   // redirected to stvec in S-mode with scause/sepc/stval set.
   StepResult step();
 
-  // Runs until a trap is taken or `max_steps` instructions retire.
-  // Returns the trap if one occurred.
-  std::optional<StepResult> run(u64 max_steps);
+  // Steps until `max_steps` instructions retire or one step traps, and
+  // returns that trap (kOk when all `max_steps` retired). The machine's run
+  // loop calls this with the distance to its next scheduled event, so a
+  // burst of steps costs one call. step() is run(1).
+  StepResult run(u64 max_steps);
 
   // The OS model charges its software-path costs here.
   void add_cycles(u64 cycles) { cycles_ += cycles; }

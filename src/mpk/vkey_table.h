@@ -385,7 +385,7 @@ class VkeyTable {
       e.perm = r.get_u8();
       e.phys = r.get_u32();
       e.pages = r.get_u64();
-      e.groups.resize(r.get_u64());
+      e.groups.resize(r.get_count(8 + 8 + 8));
       for (VkeyGroup& g : e.groups) {
         g.addr = r.get_u64();
         g.len = r.get_u64();
@@ -395,13 +395,13 @@ class VkeyTable {
     }
     const u64 lru_n = r.get_u64();
     for (u64 i = 0; i < lru_n; ++i) lru_.push_back(r.get_u64());
-    mru_.resize(r.get_u64());
+    mru_.resize(r.get_count(8));
     for (u64& vkey : mru_) vkey = r.get_u64();
-    pool_.resize(r.get_u64());
+    pool_.resize(r.get_count(4));
     for (u32& k : pool_) k = r.get_u32();
-    drain_queue_.resize(r.get_u64());
+    drain_queue_.resize(r.get_count(8));
     for (u64& vkey : drain_queue_) vkey = r.get_u64();
-    acquired_.resize(r.get_u64());
+    acquired_.resize(r.get_count(4));
     for (u32& k : acquired_) k = r.get_u32();
     stats_.allocs = r.get_u64();
     stats_.frees = r.get_u64();

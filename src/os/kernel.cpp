@@ -1459,7 +1459,7 @@ void Kernel::load_state(ByteReader& r) {
       proc->keys->load_state(r);
     }
     proc->seal_hw = hw::SealUnit::load_snapshot(r);
-    proc->thread_tids.resize(r.get_u64());
+    proc->thread_tids.resize(r.get_count(4));
     for (int& tid : proc->thread_tids) tid = static_cast<int>(r.get_u32());
     proc->exited = r.get_bool();
     proc->exit_code = r.get_i64();
@@ -1480,7 +1480,7 @@ void Kernel::load_state(ByteReader& r) {
     threads_.emplace(tid, std::move(th));
   }
 
-  run_queue_.resize(r.get_u64());
+  run_queue_.resize(r.get_count(4));
   for (int& tid : run_queue_) tid = static_cast<int>(r.get_u32());
   current_tid_ = static_cast<int>(r.get_i64());
   next_pid_ = static_cast<int>(r.get_i64());
@@ -1488,7 +1488,7 @@ void Kernel::load_state(ByteReader& r) {
   frames_.load_state(r);
   admission_error_ = r.get_str();
 
-  faults_.resize(r.get_u64());
+  faults_.resize(r.get_count(4 + 4 + 1 + 8 + 8 + 1 + 4 + 1));
   for (auto& rec : faults_) {
     rec.pid = static_cast<int>(r.get_u32());
     rec.tid = static_cast<int>(r.get_u32());
@@ -1500,9 +1500,9 @@ void Kernel::load_state(ByteReader& r) {
     rec.delivered = r.get_bool();
   }
   console_ = r.get_str();
-  reports_.resize(r.get_u64());
+  reports_.resize(r.get_count(8));
   for (u64& rep : reports_) rep = r.get_u64();
-  host_errors_.resize(r.get_u64());
+  host_errors_.resize(r.get_count(8));  // length prefix
   for (auto& err : host_errors_) err = r.get_str();
 
   stats_.syscalls = r.get_u64();

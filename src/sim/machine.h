@@ -200,6 +200,9 @@ class Machine {
   // handling has unwound back to the run loop).
   bool request_rollback();
   void perform_rollback();
+  // Run-loop bookkeeping for `retired` steps of one burst that retired
+  // without trapping: the trap and stall streaks and the preemption quantum.
+  void note_retired(u64 retired);
 
   MachineConfig config_;
   mem::PhysMem mem_;

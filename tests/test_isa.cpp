@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "isa/inst.h"
@@ -28,51 +30,59 @@ i64 random_imm_for(Format fmt, Rng& rng) {
   }
 }
 
+// A random well-formed instance of `op`: operands the format does not
+// encode stay zero, so decode(encode(i)) == i.
+Inst random_inst(Op op, Rng& rng) {
+  const OpInfo& oi = op_info(op);
+  Inst inst;
+  inst.op = op;
+  switch (oi.format) {
+    case Format::kR:
+      inst.rd = static_cast<u8>(rng.below(32));
+      inst.rs1 = static_cast<u8>(rng.below(32));
+      inst.rs2 = static_cast<u8>(rng.below(32));
+      if (op == Op::kSfenceVma) inst.rd = 0;
+      break;
+    case Format::kI:
+    case Format::kShift64:
+    case Format::kShift32:
+      inst.rd = static_cast<u8>(rng.below(32));
+      inst.rs1 = static_cast<u8>(rng.below(32));
+      inst.imm = random_imm_for(oi.format, rng);
+      break;
+    case Format::kS:
+    case Format::kB:
+      inst.rs1 = static_cast<u8>(rng.below(32));
+      inst.rs2 = static_cast<u8>(rng.below(32));
+      inst.imm = random_imm_for(oi.format, rng);
+      break;
+    case Format::kU:
+    case Format::kJ:
+      inst.rd = static_cast<u8>(rng.below(32));
+      inst.imm = random_imm_for(oi.format, rng);
+      break;
+    case Format::kCsr:
+      inst.rd = static_cast<u8>(rng.below(32));
+      inst.rs1 = static_cast<u8>(rng.below(32));
+      inst.csr = 0x100;  // an implemented CSR address
+      break;
+    case Format::kCsrI:
+      inst.rd = static_cast<u8>(rng.below(32));
+      inst.imm = random_imm_for(oi.format, rng);
+      inst.csr = 0x141;
+      break;
+    case Format::kSys:
+      break;
+  }
+  return inst;
+}
+
 TEST_P(RoundTripTest, EncodeDecodeIdentity) {
   const Op op = static_cast<Op>(GetParam());
   const OpInfo& oi = op_info(op);
   Rng rng(GetParam() * 977 + 1);
   for (int trial = 0; trial < 50; ++trial) {
-    Inst inst;
-    inst.op = op;
-    switch (oi.format) {
-      case Format::kR:
-        inst.rd = static_cast<u8>(rng.below(32));
-        inst.rs1 = static_cast<u8>(rng.below(32));
-        inst.rs2 = static_cast<u8>(rng.below(32));
-        if (op == Op::kSfenceVma) inst.rd = 0;
-        break;
-      case Format::kI:
-      case Format::kShift64:
-      case Format::kShift32:
-        inst.rd = static_cast<u8>(rng.below(32));
-        inst.rs1 = static_cast<u8>(rng.below(32));
-        inst.imm = random_imm_for(oi.format, rng);
-        break;
-      case Format::kS:
-      case Format::kB:
-        inst.rs1 = static_cast<u8>(rng.below(32));
-        inst.rs2 = static_cast<u8>(rng.below(32));
-        inst.imm = random_imm_for(oi.format, rng);
-        break;
-      case Format::kU:
-      case Format::kJ:
-        inst.rd = static_cast<u8>(rng.below(32));
-        inst.imm = random_imm_for(oi.format, rng);
-        break;
-      case Format::kCsr:
-        inst.rd = static_cast<u8>(rng.below(32));
-        inst.rs1 = static_cast<u8>(rng.below(32));
-        inst.csr = 0x100;  // an implemented CSR address
-        break;
-      case Format::kCsrI:
-        inst.rd = static_cast<u8>(rng.below(32));
-        inst.imm = random_imm_for(oi.format, rng);
-        inst.csr = 0x141;
-        break;
-      case Format::kSys:
-        break;
-    }
+    const Inst inst = random_inst(op, rng);
     const u32 word = encode(inst);
     Inst decoded = decode(word);
     decoded.raw = 0;  // raw is informational only
@@ -95,6 +105,78 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Decoder details.
 // ---------------------------------------------------------------------------
+
+// decode_cached must be indistinguishable from decode: whatever a slot held
+// before, including a word that shares the slot, and on any host thread.
+TEST(DecodeTable, ValueInitialisedSlotIsDecodeOfZero) {
+  EXPECT_EQ(Inst{}, decode(0));
+  EXPECT_EQ(decode_cached(0), decode(0));
+}
+
+TEST(DecodeTable, MatchesDecodeOnRandomWords) {
+  Rng rng(0xDEC0DE);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const u32 word = static_cast<u32>(rng.next());
+    ASSERT_EQ(decode_cached(word), decode(word)) << std::hex << word;
+  }
+}
+
+TEST(DecodeTable, MatchesDecodeOnEveryEncodedOp) {
+  Rng rng(41);
+  for (unsigned idx = 0; idx < static_cast<unsigned>(Op::kIllegal); ++idx) {
+    const Op op = static_cast<Op>(idx);
+    for (int trial = 0; trial < 20; ++trial) {
+      const u32 word = encode(random_inst(op, rng));
+      ASSERT_EQ(decode_cached(word), decode(word))
+          << op_info(op).name << " 0x" << std::hex << word;
+      ASSERT_EQ(decode_cached(word).op, op) << op_info(op).name;
+    }
+  }
+}
+
+TEST(DecodeTable, AlternatingWordsThatShareASlot) {
+  Rng rng(77);
+  size_t pairs = 0;
+  while (pairs < 64) {
+    const Inst a_inst = random_inst(
+        static_cast<Op>(rng.below(static_cast<unsigned>(Op::kIllegal))), rng);
+    const u32 a = encode(a_inst);
+    // Search upwards for another word in the same slot.
+    u32 b = a + 1;
+    while (decode_table_slot(b) != decode_table_slot(a)) ++b;
+    ++pairs;
+    for (int round = 0; round < 8; ++round) {
+      ASSERT_EQ(decode_cached(a), decode(a)) << std::hex << a << " " << b;
+      ASSERT_EQ(decode_cached(b), decode(b)) << std::hex << a << " " << b;
+    }
+  }
+  // Word 0 shares its slot too; its value-initialised entry must not
+  // answer for the other word.
+  u32 z = 1;
+  while (decode_table_slot(z) != decode_table_slot(0)) ++z;
+  EXPECT_EQ(decode_cached(z), decode(z));
+  EXPECT_EQ(decode_cached(0), decode(0));
+}
+
+TEST(DecodeTable, EachHostThreadDecodesCorrectly) {
+  auto worker = [](u64 seed, bool* ok) {
+    Rng rng(seed);
+    *ok = true;
+    for (int i = 0; i < 200'000; ++i) {
+      // Half of the words repeat, so slots are hit as well as refilled.
+      const u32 word = static_cast<u32>(rng.below(2) ? rng.below(512)
+                                                     : rng.next());
+      if (decode_cached(word) != decode(word)) *ok = false;
+    }
+  };
+  bool ok_a = false, ok_b = false;
+  std::thread a(worker, 1, &ok_a);
+  std::thread b(worker, 2, &ok_b);
+  a.join();
+  b.join();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
+}
 
 TEST(Decode, IllegalWordsNormalise) {
   const Inst a = decode(0);

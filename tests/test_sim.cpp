@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "guest_test_util.h"
+#include "passes/shadow_stack.h"
+#include "snapshot/snapshot.h"
+#include "workloads/workload.h"
 
 namespace sealpk {
 namespace {
@@ -162,6 +166,99 @@ TEST(MultiProcess, AddressSpacesAndKeyNamespacesAreIsolated) {
   // Both processes got key 1 first and key 2 second: count them.
   EXPECT_EQ(std::count(reports.begin(), reports.end(), 1u), 2);
   EXPECT_EQ(std::count(reports.begin(), reports.end(), 2u), 2);
+}
+
+// The run loop steps in bursts up to its next audit, checkpoint, quantum or
+// budget deadline; a recorder makes it step singly. Both must leave the
+// machine in the same state after every run() call, whatever the budgets.
+// A nonzero `throw_at` makes the first step at that instret throw a host
+// exception, which lands inside a burst.
+void expect_bursts_match_single_steps(const std::vector<isa::Image>& images,
+                                      const sim::MachineConfig& config,
+                                      u64 throw_at = 0) {
+  sim::MachineConfig traced = config;
+  traced.trace.enabled = true;
+  sim::Machine bursts(config);
+  sim::Machine single(traced);
+  ASSERT_NE(single.recorder(), nullptr);
+  for (const isa::Image& image : images) {
+    ASSERT_EQ(bursts.load(image), single.load(image));
+  }
+  if (throw_at != 0) {
+    for (sim::Machine* m : {&bursts, &single}) {
+      core::Hart& hart = m->hart();
+      hart.set_trace_hook(
+          [&hart, throw_at, armed = true](core::Priv, u64,
+                                          const isa::Inst&) mutable {
+            if (armed && hart.instret() == throw_at) {
+              armed = false;
+              throw std::runtime_error("host fault inside a burst");
+            }
+          });
+    }
+  }
+  for (const u64 budget : {u64{1}, u64{7}, u64{4'999}, u64{50'000},
+                           u64{4'000'000'000}}) {
+    SCOPED_TRACE(budget);
+    const sim::RunOutcome a = bursts.run(budget);
+    const sim::RunOutcome b = single.run(budget);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    ASSERT_EQ(snapshot::save(bursts), snapshot::save(single));
+  }
+  EXPECT_TRUE(bursts.kernel().all_exited());
+  EXPECT_EQ(bursts.kernel().host_errors().size(), throw_at != 0 ? 1u : 0u);
+  EXPECT_GT(bursts.checkpoints_taken(), 0u);
+  EXPECT_EQ(bursts.checkpoints_taken(), single.checkpoints_taken());
+}
+
+// Every deadline at once; then checkpoints alone, which the audit schedule
+// above would otherwise hide (5000 is a multiple of 1000).
+std::vector<sim::MachineConfig> burst_configs() {
+  sim::MachineConfig all;
+  all.preempt_quantum = 97;
+  all.audit_interval = 1'000;
+  all.checkpoint_interval = 5'000;
+  sim::MachineConfig checkpoints_only;
+  checkpoints_only.preempt_quantum = 0;
+  checkpoints_only.checkpoint_interval = 3'001;
+  return {all, checkpoints_only};
+}
+
+TEST(RunLoop, BurstsMatchSingleStepsAcrossPreemptedProcesses) {
+  for (const sim::MachineConfig& config : burst_configs()) {
+    expect_bursts_match_single_steps(
+        {make_tenant(0xAAAA, true).link(), make_tenant(0xBBBB, false).link()},
+        config);
+  }
+}
+
+// qsort under the mprotect shadow stack, which makes two syscalls per call,
+// so nearly every burst ends in a trap.
+isa::Image mprotect_qsort() {
+  const wl::Workload* qsort = wl::find_workload(wl::Suite::kMiBench, "qsort");
+  SEALPK_CHECK(qsort != nullptr);
+  isa::Program prog = qsort->build(qsort->test_scale);
+  passes::ShadowStackOptions opts;
+  opts.kind = passes::ShadowStackKind::kMprotect;
+  passes::apply_shadow_stack(prog, opts);
+  return prog.link();
+}
+
+TEST(RunLoop, BurstsMatchSingleStepsWhenEveryCallTraps) {
+  for (const sim::MachineConfig& config : burst_configs()) {
+    expect_bursts_match_single_steps({mprotect_qsort()}, config);
+  }
+}
+
+TEST(RunLoop, HostExceptionInsideABurstKeepsItsRetiredSteps) {
+  // The exception kills the only process, so the run-loop state the steps
+  // before it left is what the final snapshot holds.
+  for (const sim::MachineConfig& config : burst_configs()) {
+    expect_bursts_match_single_steps({mprotect_qsort()}, config,
+                                     /*throw_at=*/9'000);
+  }
 }
 
 TEST(MultiProcess, SealStateIsPerProcess) {

@@ -24,6 +24,25 @@ namespace {
 // Primitives.
 // ---------------------------------------------------------------------------
 
+TEST(Serial, GetCountIsBoundedByRemainingBytes) {
+  ByteWriter w;
+  w.put_u64(3);
+  for (int i = 0; i < 3; ++i) w.put_u32(7);
+  const std::vector<u8> buf = w.take();
+  {
+    ByteReader r(buf);
+    EXPECT_EQ(r.get_count(4), 3u);  // exactly fills the rest
+  }
+  {
+    ByteReader r(buf);
+    EXPECT_THROW(r.get_count(5), CheckError);  // 15 bytes > 12 left
+  }
+  ByteWriter huge;
+  huge.put_u64(~u64{0});
+  ByteReader r(huge.buffer());
+  EXPECT_THROW(r.get_count(1), CheckError);
+}
+
 TEST(Serial, RoundTripsEveryPrimitive) {
   ByteWriter w;
   w.put_u8(0xAB);
@@ -368,6 +387,32 @@ TEST(SnapshotValidation, RejectsBadMemBytesBeforeBuildingAMachine) {
     put_u64_at(bad, hits[0], bad_size);
     reseal(bad);
     EXPECT_THROW(snapshot::config_from(bad), snapshot::SnapshotError);
+  }
+}
+
+TEST(SnapshotValidation, RejectsHugeCountBeforeAllocating) {
+  sim::MachineConfig config;
+  config.fault_plan.enabled = true;
+  config.fault_plan.seed = 5;
+  sim::Machine machine(config);
+  std::vector<u8> blob = snapshot::save(machine);
+  // FINJ body: RNG state, next fire, suppress count, then the event count.
+  const size_t count_at = section_body(blob, "FINJ") + 24;
+  ASSERT_EQ(get_u64_at(blob, count_at), 0u);
+  const u64 huge = u64{1} << 40;
+  put_u64_at(blob, count_at, huge);
+  reseal(blob);
+
+  sim::Machine target(snapshot::config_from(blob));
+  try {
+    snapshot::restore(target, blob);
+    FAIL() << "restore accepted an event count of " << huge;
+  } catch (const snapshot::SnapshotError& e) {
+    // Rejected by the count check, not by an allocation or a truncated
+    // read after one.
+    EXPECT_NE(std::string(e.what()).find("count " + std::to_string(huge)),
+              std::string::npos)
+        << e.what();
   }
 }
 
