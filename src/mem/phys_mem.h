@@ -34,12 +34,15 @@ static_assert(std::endian::native == std::endian::little,
 //
 // The page table is direct-indexed (one slot per physical page, null until
 // the page is first written), so finding a page is an index and a null
-// check. Word accesses inside one page are a single memcpy; bulk ops work in
-// page chunks and check their whole range up front.
+// check. The table only reaches up to the highest page written so far: the
+// frame allocator hands out low frames first, so building, snapshotting
+// and tearing down a machine walks the pages in use, not the whole of DRAM.
+// Word accesses inside one page are a single memcpy; bulk ops work in page
+// chunks and check their whole range up front.
 class PhysMem {
  public:
   explicit PhysMem(u64 size_bytes = 256 * 1024 * 1024)
-      : size_(size_bytes), pages_(page_count(size_bytes)) {}
+      : size_(checked_size(size_bytes)) {}
 
   u64 size() const { return size_; }
 
@@ -59,7 +62,7 @@ class PhysMem {
   void read_bytes(u64 addr, u8* out, u64 len) const {
     check_range(addr, len, "read");
     for_each_chunk(addr, len, [&](u64 index, u64 off, u64 done, u64 chunk) {
-      const Page* page = pages_[index].get();
+      const Page* page = find(index);
       std::memcpy(out + done, (page ? page : &kZeroPage)->data() + off, chunk);
     });
   }
@@ -76,7 +79,7 @@ class PhysMem {
   void fill(u64 addr, u8 value, u64 len) {
     check_range(addr, len, "write");
     for_each_chunk(addr, len, [&](u64 index, u64 off, u64, u64 chunk) {
-      if (value == 0 && pages_[index] == nullptr) return;
+      if (value == 0 && find(index) == nullptr) return;
       std::memset(materialize(index).data() + off, value, chunk);
     });
   }
@@ -109,14 +112,14 @@ class PhysMem {
     const u64 size = r.get_u64();
     SEALPK_CHECK_MSG(size == size_, "phys size mismatch: snapshot has "
                                         << size << ", machine has " << size_);
-    for (auto& page : pages_) page.reset();
+    pages_.clear();
     materialized_ = 0;
     const u64 count = r.get_u64();
     for (u64 i = 0; i < count; ++i) {
       const u64 index = r.get_u64();
-      SEALPK_CHECK_MSG(index < pages_.size(),
+      SEALPK_CHECK_MSG(index < size_ >> kPageShift,
                        "snapshot page index out of range: " << index);
-      SEALPK_CHECK_MSG(pages_[index] == nullptr,
+      SEALPK_CHECK_MSG(find(index) == nullptr,
                        "duplicate snapshot page index: " << index);
       r.get_bytes(materialize(index).data(), kPageSize);
     }
@@ -126,18 +129,23 @@ class PhysMem {
   using Page = std::array<u8, kPageSize>;
   static inline const Page kZeroPage{};
 
-  static u64 page_count(u64 size_bytes) {
+  static u64 checked_size(u64 size_bytes) {
     SEALPK_CHECK(size_bytes % kPageSize == 0);
     SEALPK_CHECK_MSG(size_bytes <= kMaxPhysBytes,
                      "phys size 0x" << std::hex << size_bytes
                                     << " exceeds the cap 0x" << kMaxPhysBytes);
-    return size_bytes >> kPageShift;
+    return size_bytes;
+  }
+
+  // The page at `index`, or null when it was never written.
+  const Page* find(u64 index) const {
+    return index < pages_.size() ? pages_[index].get() : nullptr;
   }
 
   const Page& page_at(u64 addr) const {
     SEALPK_CHECK_MSG(contains(addr), "phys read out of range 0x" << std::hex
                                                                  << addr);
-    const Page* page = pages_[addr >> kPageShift].get();
+    const Page* page = find(addr >> kPageShift);
     return page == nullptr ? kZeroPage : *page;
   }
 
@@ -148,6 +156,7 @@ class PhysMem {
   }
 
   Page& materialize(u64 index) {
+    if (index >= pages_.size()) pages_.resize(index + 1);
     auto& slot = pages_[index];
     if (slot == nullptr) {
       slot = std::make_unique<Page>();
@@ -205,7 +214,7 @@ class PhysMem {
   }
 
   u64 size_;
-  std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<std::unique_ptr<Page>> pages_;  // up to the highest page written
   size_t materialized_ = 0;
 };
 
