@@ -29,7 +29,7 @@
 // counts, and the full per-fault event log with each event's resolution.
 //
 // Exit status: 0 when every workload satisfies the oracle, 1 otherwise,
-// 2 on usage errors.
+// 2 on usage errors or when the --json file cannot be written.
 //
 // Usage:
 //   sealpk-chaos --all --chaos-seed=7 --chaos-rate=2e-5
@@ -39,13 +39,11 @@
 //   sealpk-chaos --list
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "fleet/engine.h"
 #include "fleet/report.h"
 #include "passes/shadow_stack.h"
@@ -72,39 +70,6 @@ struct CliOptions {
   fault::FaultPlan plan;
 };
 
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
-}
-
-// Comma-separated fault-kind mask: pkr,tlb,pte,cam-drop,cam-dup,trap,all.
-bool parse_kinds(const std::string& text, u32* out) {
-  u32 mask = 0;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item == "all") mask |= fault::kAllFaultKinds;
-    else if (item == "pkr") mask |= kind_bit(fault::FaultKind::kPkrBitFlip);
-    else if (item == "tlb") mask |= kind_bit(fault::FaultKind::kTlbCorrupt);
-    else if (item == "pte") mask |= kind_bit(fault::FaultKind::kPteCorrupt);
-    else if (item == "cam-drop")
-      mask |= kind_bit(fault::FaultKind::kCamDropRefill);
-    else if (item == "cam-dup")
-      mask |= kind_bit(fault::FaultKind::kCamDupRefill);
-    else if (item == "trap") mask |= kind_bit(fault::FaultKind::kSpuriousTrap);
-    else return false;
-  }
-  if (mask == 0) return false;
-  *out = mask;
-  return true;
-}
-
 const char* resolution_name(fault::FaultResolution r) {
   switch (r) {
     case fault::FaultResolution::kOutstanding: return "outstanding";
@@ -115,15 +80,11 @@ const char* resolution_name(fault::FaultResolution r) {
   return "unknown";
 }
 
-// The one source of truth for fault-kind spellings: parse_kinds accepts
-// exactly these names, `--kinds` without an argument and `--help` print
-// them, so the list can never drift from the parser.
-constexpr const char* kKindNames[] = {"pkr",      "tlb",     "pte", "cam-drop",
-                                      "cam-dup", "trap",    "all"};
-
 void print_kind_names(std::FILE* out) {
   std::fprintf(out, "fault kinds:");
-  for (const char* name : kKindNames) std::fprintf(out, " %s", name);
+  for (const cli::FaultKindName& e : cli::kFaultKindNames) {
+    std::fprintf(out, " %s", e.name);
+  }
   std::fprintf(out, "\n");
 }
 
@@ -178,11 +139,10 @@ void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-bool write_json(const std::string& path, const CliOptions& cli,
-                const std::vector<fleet::JobResult>& results,
-                size_t failures, double elapsed_ms) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
+std::string summary_json(const CliOptions& cli,
+                         const std::vector<fleet::JobResult>& results,
+                         size_t failures, double elapsed_ms) {
+  std::ostringstream out;
   u64 total_faults = 0;
   for (const auto& r : results) total_faults += r.injected;
   out << "{\n";
@@ -234,8 +194,7 @@ bool write_json(const std::string& path, const CliOptions& cli,
     out << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-  out.flush();
-  return static_cast<bool>(out);
+  return out.str();
 }
 
 }  // namespace
@@ -245,51 +204,31 @@ int main(int argc, char** argv) {
   cli.plan.enabled = true;
   cli.plan.seed = 7;
   cli.plan.rate = 2e-5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--all") {
-      cli.all = true;
-    } else if (arg == "--list") {
-      cli.list = true;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg == "--rollback") {
-      cli.rollback = true;
-    } else if (arg == "--no-pkr-save") {
-      cli.no_pkr_save = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads = static_cast<unsigned>(
-          std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.plan.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.plan.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--cam-rate=", 0) == 0) {
-      cli.plan.cam_rate = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.plan.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg == "--kinds" || arg == "--kinds=") {
+  for (cli::Args a("sealpk-chaos", argc, argv); a.next();) {
+    if (a.flag("--all", &cli.all) || a.flag("--list", &cli.list) ||
+        a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--seal", &cli.perm_seal) ||
+        a.flag("--rollback", &cli.rollback) ||
+        a.flag("--no-pkr-save", &cli.no_pkr_save) ||
+        a.value("--threads", &cli.threads) ||
+        a.value("--ss", &cli.ss, cli::parse_ss_kind) ||
+        cli::fault_plan_flag(a, &cli.plan) ||
+        a.value("--ckpt-interval", &cli.ckpt_interval) ||
+        a.value("--max-rollbacks", &cli.max_rollbacks) ||
+        a.value("--json", &cli.json_path)) {
+      continue;
+    }
+    if (a.is("--kinds") || a.is("--kinds=")) {
       // Bare --kinds is a query, not an error: print the valid names.
       print_kind_names(stdout);
       return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      return print_usage(stdout);
-    } else if (arg.rfind("--kinds=", 0) == 0) {
-      if (!parse_kinds(arg.substr(8), &cli.plan.kinds)) return usage();
-    } else if (arg.rfind("--ckpt-interval=", 0) == 0) {
-      cli.ckpt_interval = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (arg.rfind("--max-rollbacks=", 0) == 0) {
-      cli.max_rollbacks = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
+    }
+    if (a.is("--help") || a.is("-h")) return print_usage(stdout);
+    if (a.value("--kinds", &cli.plan.kinds, cli::parse_fault_kinds)) continue;
+    if (a.positional()) {
+      cli.names.push_back(a.arg());
     } else {
-      cli.names.push_back(arg);
+      a.reject();
     }
   }
 
@@ -354,11 +293,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!cli.json_path.empty() &&
-      !write_json(cli.json_path, cli, results, failures, elapsed_ms)) {
-    std::fprintf(stderr, "cannot write JSON summary to %s\n",
-                 cli.json_path.c_str());
-    return 2;
+  if (!cli.json_path.empty()) {
+    cli::write_file(cli.json_path,
+                    summary_json(cli, results, failures, elapsed_ms));
   }
   if (!cli.quiet || failures != 0) {
     std::printf(

@@ -22,7 +22,8 @@
 // the matrix twice — serial and with --threads workers — and fails unless
 // every record matches.
 //
-// Exit status: 0 all jobs ok, 1 job failures / record divergence, 2 usage.
+// Exit status: 0 all jobs ok, 1 job failures / record divergence, 2 usage
+// or I/O error.
 //
 // Usage:
 //   sealpk-fleet sweep --threads=8 --scale=1 --json=BENCH_fleet.json
@@ -32,13 +33,11 @@
 //   sealpk-fleet sweep --scale=1 --threads=4 --selfcheck
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "fleet/engine.h"
 #include "fleet/report.h"
 
@@ -107,35 +106,6 @@ bool any_glob(const std::vector<std::string>& pats, const std::string& text) {
     if (glob_match(p.c_str(), text.c_str())) return true;
   }
   return false;
-}
-
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-bool parse_kinds(const std::string& text, u32* out) {
-  u32 mask = 0;
-  for (const std::string& item : split_commas(text)) {
-    if (item == "all") mask |= fault::kAllFaultKinds;
-    else if (item == "pkr") mask |= kind_bit(fault::FaultKind::kPkrBitFlip);
-    else if (item == "tlb") mask |= kind_bit(fault::FaultKind::kTlbCorrupt);
-    else if (item == "pte") mask |= kind_bit(fault::FaultKind::kPteCorrupt);
-    else if (item == "cam-drop")
-      mask |= kind_bit(fault::FaultKind::kCamDropRefill);
-    else if (item == "cam-dup")
-      mask |= kind_bit(fault::FaultKind::kCamDupRefill);
-    else if (item == "trap") mask |= kind_bit(fault::FaultKind::kSpuriousTrap);
-    else return false;
-  }
-  if (mask == 0) return false;
-  *out = mask;
-  return true;
 }
 
 int usage() {
@@ -264,26 +234,16 @@ void print_summary(const SweepOutcome& sweep, unsigned threads) {
 int mode_diff(const std::vector<std::string>& names,
               const std::string& json_path) {
   if (names.size() != 2) return usage();
-  std::string text[2];
-  for (int i = 0; i < 2; ++i) {
-    std::ifstream in(names[i]);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", names[i].c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text[i] = buf.str();
-  }
+  const std::string a = cli::read_file(names[0]);
+  const std::string b = cli::read_file(names[1]);
   std::ostringstream log;
-  const size_t diverging = fleet::diff_reports(text[0], text[1], log);
+  const size_t diverging = fleet::diff_reports(a, b, log);
   // --json changes the output format, never the verdict: the exit code must
   // signal divergence identically in both modes (CI scripts key off it).
-  if (!json_path.empty() &&
-      !fleet::write_diff_report_file(json_path, names[0], names[1], diverging,
-                                     log.str())) {
-    std::fprintf(stderr, "cannot write diff report %s\n", json_path.c_str());
-    return 2;
+  if (!json_path.empty()) {
+    std::ostringstream report;
+    fleet::write_diff_report(report, names[0], names[1], diverging, log.str());
+    cli::write_file(json_path, report.str());
   }
   if (diverging == 0) {
     if (json_path.empty()) {
@@ -305,61 +265,32 @@ int main(int argc, char** argv) {
   cli.plan.enabled = true;
   cli.plan.seed = 7;
   cli.plan.rate = 2e-5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "sweep" || arg == "run" || arg == "diff" || arg == "list") {
+  for (cli::Args a("sealpk-fleet", argc, argv); a.next();) {
+    if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--chaos", &cli.chaos) || a.flag("--trace", &cli.trace) ||
+        a.value("--trace-ring", &cli.trace_ring) ||
+        a.flag("--canonical", &cli.canonical) ||
+        a.flag("--selfcheck", &cli.selfcheck) ||
+        a.flag("--rollback", &cli.rollback) ||
+        a.flag("--no-pkr-save", &cli.no_pkr_save) ||
+        a.value("--threads", &cli.threads) ||
+        a.value("--scale", &cli.scale) || a.value("--budget", &cli.budget) ||
+        a.value("--workloads", &cli.workloads) ||
+        a.value("--variants", &cli.variants) ||
+        a.json(&cli.json, &cli.json_path) ||
+        cli::fault_plan_flag(a, &cli.plan) ||
+        a.value("--kinds", &cli.plan.kinds, cli::parse_fault_kinds) ||
+        a.value("--ckpt-interval", &cli.ckpt_interval) ||
+        a.value("--max-rollbacks", &cli.max_rollbacks)) {
+      continue;
+    }
+    if (a.is("sweep") || a.is("run") || a.is("diff") || a.is("list")) {
       if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--chaos") {
-      cli.chaos = true;
-    } else if (arg == "--trace") {
-      cli.trace = true;
-    } else if (arg.rfind("--trace-ring=", 0) == 0) {
-      cli.trace_ring = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg == "--canonical") {
-      cli.canonical = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--rollback") {
-      cli.rollback = true;
-    } else if (arg == "--no-pkr-save") {
-      cli.no_pkr_save = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads = static_cast<unsigned>(
-          std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      cli.scale = std::strtoull(arg.c_str() + 8, nullptr, 0);
-    } else if (arg.rfind("--budget=", 0) == 0) {
-      cli.budget = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--workloads=", 0) == 0) {
-      cli.workloads = split_commas(arg.substr(12));
-    } else if (arg.rfind("--variants=", 0) == 0) {
-      cli.variants = split_commas(arg.substr(11));
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_path = arg.substr(7);
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.plan.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.plan.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--cam-rate=", 0) == 0) {
-      cli.plan.cam_rate = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.plan.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--kinds=", 0) == 0) {
-      if (!parse_kinds(arg.substr(8), &cli.plan.kinds)) return usage();
-    } else if (arg.rfind("--ckpt-interval=", 0) == 0) {
-      cli.ckpt_interval = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (arg.rfind("--max-rollbacks=", 0) == 0) {
-      cli.max_rollbacks = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
+      cli.mode = a.arg();
+    } else if (a.positional()) {
+      cli.names.push_back(a.arg());
     } else {
-      cli.names.push_back(arg);
+      a.reject();
     }
   }
   if (cli.mode.empty()) return usage();
@@ -372,16 +303,9 @@ int main(int argc, char** argv) {
       for (const VariantDef& v : kVariants) {
         variants.push_back({v.name, v.ss, v.perm_seal});
       }
-      if (cli.json_path.empty()) {
-        fleet::write_matrix_json(std::cout, variants);
-      } else {
-        std::ofstream out(cli.json_path);
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-          return 2;
-        }
-        fleet::write_matrix_json(out, variants);
-      }
+      std::ostringstream os;
+      fleet::write_matrix_json(os, variants);
+      cli::emit(cli.json_path, os.str());
       return 0;
     }
     std::printf("workloads:\n");
@@ -435,11 +359,10 @@ int main(int argc, char** argv) {
   ropts.threads = cli.threads;
   ropts.elapsed_ms = sweep.elapsed_ms;
   ropts.canonical = cli.canonical;
-  if (!cli.json_path.empty() &&
-      !fleet::write_report_file(cli.json_path, sweep.results, ropts)) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n",
-                 cli.json_path.c_str());
-    return 2;
+  if (!cli.json_path.empty()) {
+    std::ostringstream os;
+    fleet::write_report(os, sweep.results, ropts);
+    cli::write_file(cli.json_path, os.str());
   }
 
   const fleet::Aggregate agg = fleet::aggregate(sweep.results);

@@ -19,12 +19,12 @@
 // or a self-test failed, 2 usage/IO errors, 3 exploration hit a budget
 // before closing the state space.
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cli.h"
 #include "model/explorer.h"
 #include "model/trace.h"
 
@@ -57,66 +57,42 @@ int usage() {
   return 2;
 }
 
-bool parse_unsigned(const std::string& text, u64* out) {
-  if (text.empty()) return false;
-  u64 v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<u64>(c - '0');
-  }
-  *out = v;
-  return true;
+// --threads, --max-states and --max-ce must be at least 1.
+template <class T>
+bool parse_positive(std::string_view text, T* out) {
+  return cli::parse(text, out) && *out != 0;
 }
 
-bool parse_cli(int argc, char** argv, CliOptions* cli) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    u64 v = 0;
-    if (arg == "-q" || arg == "--quiet") {
-      cli->quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli->selfcheck = true;
-    } else if (arg == "--json") {
-      cli->json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli->json = true;
-      cli->json_path = arg.substr(7);
-      if (cli->json_path.empty()) return false;
-    } else if (arg.rfind("--ce-dir=", 0) == 0) {
-      cli->ce_dir = arg.substr(9);
-      if (cli->ce_dir.empty()) return false;
-    } else if (arg.rfind("--pkeys=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(8), &v)) return false;
-      cli->cfg.num_pkeys = static_cast<unsigned>(v);
-    } else if (arg.rfind("--pages=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(8), &v)) return false;
-      cli->cfg.num_pages = static_cast<unsigned>(v);
-    } else if (arg.rfind("--cam=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(6), &v)) return false;
-      cli->cfg.cam_entries = static_cast<unsigned>(v);
-    } else if (arg.rfind("--depth=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(8), &v)) return false;
-      cli->cfg.depth = v;
-    } else if (arg.rfind("--max-states=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(13), &v) || v == 0) return false;
-      cli->cfg.max_states = v;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(10), &v) || v == 0) return false;
-      cli->cfg.threads = static_cast<unsigned>(v);
-    } else if (arg.rfind("--max-ce=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(9), &v) || v == 0) return false;
-      cli->cfg.max_counterexamples = v;
-    } else if (arg.rfind("--mutation=", 0) == 0) {
-      const auto m = parse_mutation(arg.substr(11));
-      if (!m.has_value()) return false;
-      cli->cfg.mutation = *m;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return false;
+bool parse_mutation_flag(std::string_view text, Mutation* out) {
+  const auto m = parse_mutation(std::string(text));
+  if (m.has_value()) *out = *m;
+  return m.has_value();
+}
+
+void parse_cli(int argc, char** argv, CliOptions* cli) {
+  ModelConfig& cfg = cli->cfg;
+  for (cli::Args a("sealpk-model", argc, argv, 2); a.next();) {
+    if (a.flag("-q", &cli->quiet) || a.flag("--quiet", &cli->quiet) ||
+        a.flag("--selfcheck", &cli->selfcheck) ||
+        a.json(&cli->json, &cli->json_path) ||
+        a.value("--ce-dir", &cli->ce_dir) ||
+        a.value("--pkeys", &cfg.num_pkeys) ||
+        a.value("--pages", &cfg.num_pages) ||
+        a.value("--cam", &cfg.cam_entries) ||
+        a.value("--depth", &cfg.depth) ||
+        a.value("--max-states", &cfg.max_states, parse_positive<u64>) ||
+        a.value("--threads", &cfg.threads, parse_positive<unsigned>) ||
+        a.value("--max-ce", &cfg.max_counterexamples,
+                parse_positive<unsigned>) ||
+        a.value("--mutation", &cfg.mutation, parse_mutation_flag)) {
+      continue;
+    }
+    if (a.positional()) {
+      cli->paths.push_back(a.arg());
     } else {
-      cli->paths.push_back(arg);
+      a.reject();
     }
   }
-  return true;
 }
 
 void print_counterexample(const Counterexample& ce, size_t index) {
@@ -129,23 +105,17 @@ void print_counterexample(const Counterexample& ce, size_t index) {
   }
 }
 
-bool dump_counterexamples(const CliOptions& cli,
+void dump_counterexamples(const CliOptions& cli,
                           const std::vector<Counterexample>& ces) {
   for (size_t i = 0; i < ces.size(); ++i) {
     const Trace t = make_trace(cli.cfg, ces[i]);
-    std::ostringstream path;
-    path << cli.ce_dir << "/ce-" << i << ".json";
-    std::ofstream out(path.str());
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.str().c_str());
-      return false;
-    }
-    write_trace(out, t);
+    const std::string path =
+        cli.ce_dir + "/ce-" + std::to_string(i) + ".json";
+    cli::write_file(path, trace_to_json(t));
     if (!cli.quiet) {
-      std::printf("wrote %s\n", path.str().c_str());
+      std::printf("wrote %s\n", path.c_str());
     }
   }
-  return true;
 }
 
 void print_stats_json(std::ostream& os, const CliOptions& cli,
@@ -201,15 +171,9 @@ int cmd_explore(const CliOptions& cli) {
   }
 
   if (cli.json) {
-    std::ofstream file;
-    if (!cli.json_path.empty()) {
-      file.open(cli.json_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-        return 2;
-      }
-    }
-    print_stats_json(cli.json_path.empty() ? std::cout : file, cli, res);
+    std::ostringstream os;
+    print_stats_json(os, cli, res);
+    cli::emit(cli.json_path, os.str());
   } else if (!cli.quiet || !res.counterexamples.empty() ||
              res.stats.truncated) {
     std::printf(
@@ -229,7 +193,7 @@ int cmd_explore(const CliOptions& cli) {
     }
   }
   if (!cli.ce_dir.empty() && !res.counterexamples.empty()) {
-    if (!dump_counterexamples(cli, res.counterexamples)) return 2;
+    dump_counterexamples(cli, res.counterexamples);
   }
   if (!res.counterexamples.empty()) return 1;
   return res.stats.truncated ? 3 : 0;
@@ -239,15 +203,9 @@ int cmd_repro(const CliOptions& cli) {
   if (cli.paths.empty()) return usage();
   int failures = 0;
   for (const auto& path : cli.paths) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    const std::string text = cli::read_file(path);
     std::string error;
-    const auto trace = parse_trace(buf.str(), &error);
+    const auto trace = parse_trace(text, &error);
     if (!trace.has_value()) {
       std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(),
                    error.c_str());
@@ -255,7 +213,7 @@ int cmd_repro(const CliOptions& cli) {
     }
     // The serializer is canonical; a trace that does not round-trip
     // byte-for-byte was edited by hand and should be rewritten.
-    if (trace_to_json(*trace) != buf.str()) {
+    if (trace_to_json(*trace) != text) {
       std::fprintf(stderr, "%s: not in canonical form\n", path.c_str());
       ++failures;
       continue;
@@ -339,7 +297,13 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   CliOptions cli;
-  if (!parse_cli(argc, argv, &cli)) return usage();
+  parse_cli(argc, argv, &cli);
+  if (cli.json && cmd != "explore") {
+    // Only explore writes JSON; accepting the flag elsewhere would report a
+    // file as written that never was.
+    std::fprintf(stderr, "sealpk-model: --json applies to explore only\n");
+    return 2;
+  }
   try {
     cli.cfg.validate();
     if (cmd == "explore") return cmd_explore(cli);

@@ -33,13 +33,11 @@
 //   sealpk-serve attack --all --threads=4 --json=redteam.json
 //   sealpk-serve run --chaos --chaos-seed=11 --chaos-rate=1e-4
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "fleet/engine.h"
 #include "obs/export.h"
 #include "serve/redteam.h"
@@ -122,17 +120,10 @@ int verdict(const serve::ServeResult& r) {
   return 0;
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
-
-bool export_trace(const serve::ServeResult& r, const std::string& path) {
+void export_trace(const serve::ServeResult& r, const std::string& path) {
   std::ostringstream os;
   obs::write_perfetto_json(r.trace, os);
-  return write_text_file(path, os.str());
+  cli::write_file(path, os.str());
 }
 
 int mode_list() {
@@ -164,15 +155,9 @@ int run_one(const CliOptions& cli) {
   if (!cli.json_path.empty()) {
     std::ostringstream os;
     serve::write_result_json(os, cfg, r);
-    if (!write_text_file(cli.json_path, os.str())) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_file(cli.json_path, os.str());
   }
-  if (!cli.trace_path.empty() && !export_trace(r, cli.trace_path)) {
-    std::fprintf(stderr, "cannot write %s\n", cli.trace_path.c_str());
-    return 2;
-  }
+  if (!cli.trace_path.empty()) export_trace(r, cli.trace_path);
   return verdict(r);
 }
 
@@ -204,10 +189,7 @@ int run_all(const CliOptions& cli) {
       os << (i + 1 < registry.size() ? ",\n" : "\n");
     }
     os << "]\n";
-    if (!write_text_file(cli.json_path, os.str())) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_file(cli.json_path, os.str());
   }
   if (!cli.quiet) {
     std::printf("%s: %zu attack(s), %s\n", "red team", registry.size(),
@@ -221,55 +203,33 @@ int run_all(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "run" || arg == "attack" || arg == "list") {
+  serve::ServeConfig& cfg = cli.cfg;
+  for (cli::Args a("sealpk-serve", argc, argv); a.next();) {
+    if (a.flag("--all", &cli.all_attacks) || a.flag("-q", &cli.quiet) ||
+        a.flag("--quiet", &cli.quiet) ||
+        a.flag("--chaos", &cfg.chaos.enabled) ||
+        a.value("--primaries", &cfg.primaries) ||
+        a.value("--requests", &cfg.requests) ||
+        a.value("--rounds", &cfg.rounds) || a.value("--seed", &cfg.seed) ||
+        a.value("--budget", &cfg.request_budget) ||
+        a.value("--max-attempts", &cfg.max_attempts) ||
+        a.value("--strike-limit", &cfg.strike_limit) ||
+        a.value("--threads", &cli.threads) ||
+        a.value("--chaos-seed", &cfg.chaos.seed) ||
+        a.value("--chaos-rate", &cfg.chaos.rate) ||
+        a.value("--max-faults", &cfg.chaos.max_faults) ||
+        a.value("--json", &cli.json_path) ||
+        a.value("--trace-out", &cli.trace_path)) {
+      continue;
+    }
+    if (a.is("run") || a.is("attack") || a.is("list")) {
       if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "--all") {
-      cli.all_attacks = true;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--chaos") {
-      cli.cfg.chaos.enabled = true;
-    } else if (arg.rfind("--primaries=", 0) == 0) {
-      cli.cfg.primaries =
-          static_cast<u32>(std::strtoul(arg.c_str() + 12, nullptr, 0));
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      cli.cfg.requests =
-          static_cast<u32>(std::strtoul(arg.c_str() + 11, nullptr, 0));
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      cli.cfg.rounds =
-          static_cast<u32>(std::strtoul(arg.c_str() + 9, nullptr, 0));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.cfg.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (arg.rfind("--budget=", 0) == 0) {
-      cli.cfg.request_budget = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--max-attempts=", 0) == 0) {
-      cli.cfg.max_attempts =
-          static_cast<u32>(std::strtoul(arg.c_str() + 15, nullptr, 0));
-    } else if (arg.rfind("--strike-limit=", 0) == 0) {
-      cli.cfg.strike_limit =
-          static_cast<u32>(std::strtoul(arg.c_str() + 15, nullptr, 0));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.cfg.chaos.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.cfg.chaos.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.cfg.chaos.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      cli.trace_path = arg.substr(12);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else if (cli.mode == "attack" && cli.attack_name.empty()) {
-      cli.attack_name = arg;
+      cli.mode = a.arg();
+    } else if (a.positional() && cli.mode == "attack" &&
+               cli.attack_name.empty()) {
+      cli.attack_name = a.arg();
     } else {
-      return usage();
+      a.reject();
     }
   }
 

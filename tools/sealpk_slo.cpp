@@ -28,13 +28,14 @@
 //       --report=vkey=vkey.json --report=spans=BENCH_spans.json
 //       (one command line)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "cli.h"
 #include "common/json_parse.h"
 #include "fleet/engine.h"
 #include "mpk/session.h"
@@ -70,19 +71,15 @@ int usage() {
   return 2;
 }
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream os;
-  os << f.rdbuf();
-  return os.str();
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return out.good();
+// --report=<name>=<path>, both parts non-empty.
+bool parse_report(std::string_view text,
+                  std::pair<std::string, std::string>* out) {
+  const size_t eq = text.find('=');
+  if (eq == std::string_view::npos || eq == 0 || eq + 1 == text.size()) {
+    return false;
+  }
+  *out = {std::string(text.substr(0, eq)), std::string(text.substr(eq + 1))};
+  return true;
 }
 
 // --- spans benchmark --------------------------------------------------------
@@ -201,10 +198,7 @@ int mode_spans(const CliOptions& cli) {
     }
   }
   if (!cli.out_path.empty()) {
-    if (!write_text_file(cli.out_path, report)) {
-      std::fprintf(stderr, "cannot write %s\n", cli.out_path.c_str());
-      return 2;
-    }
+    cli::write_file(cli.out_path, report);
     if (!cli.quiet) std::printf("%s: span bench\n", cli.out_path.c_str());
   } else if (!cli.quiet) {
     std::printf("%s", report.c_str());
@@ -219,9 +213,9 @@ int mode_check(const CliOptions& cli) {
   obs::SloSpec spec;
   std::map<std::string, JsonValue> reports;
   try {
-    spec = obs::parse_slo_spec(json_parse(read_text_file(cli.spec_path)));
+    spec = obs::parse_slo_spec(json_parse(cli::read_file(cli.spec_path)));
     for (const auto& [name, path] : cli.reports) {
-      reports[name] = json_parse(read_text_file(path));
+      reports[name] = json_parse(cli::read_file(path));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sealpk-slo: %s\n", e.what());
@@ -233,16 +227,9 @@ int mode_check(const CliOptions& cli) {
   // nonzero in JSON mode exactly as in plain mode (the contract the
   // WILL_FAIL ctest pair pins).
   if (cli.json) {
-    if (cli.json_path.empty()) {
-      obs::write_slo_json(verdict, std::cout);
-    } else {
-      std::ostringstream os;
-      obs::write_slo_json(verdict, os);
-      if (!write_text_file(cli.json_path, os.str())) {
-        std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-        return 2;
-      }
-    }
+    std::ostringstream os;
+    obs::write_slo_json(verdict, os);
+    cli::emit(cli.json_path, os.str());
   }
   return verdict.pass ? 0 : 1;
 }
@@ -251,36 +238,23 @@ int mode_check(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "check" || arg == "spans") {
+  for (cli::Args a("sealpk-slo", argc, argv); a.next();) {
+    std::pair<std::string, std::string> report;
+    if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--selfcheck", &cli.selfcheck) ||
+        a.json(&cli.json, &cli.json_path) ||
+        a.value("--spec", &cli.spec_path) ||
+        a.value("--out", &cli.out_path) ||
+        a.value("--threads", &cli.threads)) {
+      continue;
+    }
+    if (a.value("--report", &report, parse_report)) {
+      cli.reports.push_back(std::move(report));
+    } else if (a.is("check") || a.is("spans")) {
       if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_path = arg.substr(7);
-    } else if (arg.rfind("--spec=", 0) == 0) {
-      cli.spec_path = arg.substr(7);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      cli.out_path = arg.substr(6);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--report=", 0) == 0) {
-      const std::string pair = arg.substr(9);
-      const size_t eq = pair.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
-        return usage();
-      }
-      cli.reports.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
+      cli.mode = a.arg();
     } else {
-      return usage();
+      a.reject();
     }
   }
   if (cli.mode == "spans") return mode_spans(cli);

@@ -30,14 +30,12 @@
 //
 // Exit status: 0 success, 1 oracle/check failure, 2 usage or I/O errors.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/json.h"
 #include "passes/shadow_stack.h"
 #include "sim/machine.h"
@@ -61,24 +59,8 @@ struct CliOptions {
   bool json = false;      // machine-readable info/diff output
   std::string json_out;   // empty = stdout
   passes::ShadowStackKind ss = passes::ShadowStackKind::kNone;
-  fault::FaultPlan plan;  // disabled unless a --chaos-* flag appears
+  fault::FaultPlan plan;  // armed by --chaos-seed, --chaos-rate or --cam-rate
 };
-
-// --json changes the output format, never the verdict: callers still rely
-// on the exit code (same contract as sealpk-fleet diff --json).
-int emit_json(const CliOptions& cli, const std::string& text) {
-  if (cli.json_out.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return 0;
-  }
-  std::ofstream f(cli.json_out, std::ios::trunc);
-  if (!f) {
-    std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-    return 2;
-  }
-  f << text;
-  return 0;
-}
 
 int usage() {
   std::fprintf(
@@ -92,17 +74,6 @@ int usage() {
       "         [--seal] [--chaos-seed=<n>] [--chaos-rate=<p>]\n"
       "         [--cam-rate=<p>] [--max-faults=<n>]\n");
   return 2;
-}
-
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
 }
 
 const wl::Workload* find_workload(const std::string& name) {
@@ -145,7 +116,7 @@ int cmd_save(const CliOptions& cli) {
   const std::vector<u8> blob = snapshot::save(machine);
   const std::string out =
       cli.out.empty() ? cli.positional[0] + ".spksnap" : cli.out;
-  snapshot::write_file(out, blob);
+  cli::write_file(out, blob);
   if (!cli.quiet) {
     std::printf("%s: %zu bytes at instret=%llu pc=0x%llx\n", out.c_str(),
                 blob.size(),
@@ -241,8 +212,8 @@ int cmd_diff(const CliOptions& cli) {
       os << (i != 0 ? ", " : "") << "\"" << json_escape(lines[i]) << "\"";
     }
     os << "]}\n";
-    const int rc = emit_json(cli, os.str());
-    if (rc != 0) return rc;
+    // --json changes the output format, never the verdict.
+    cli::emit(cli.json_out, os.str());
     return lines.empty() ? 0 : 1;
   }
   if (lines.empty()) {
@@ -274,7 +245,8 @@ int cmd_info(const CliOptions& cli) {
          << "\", \"bytes\": " << info.sections[i].size << "}";
     }
     os << "]}\n";
-    return emit_json(cli, os.str());
+    cli::emit(cli.json_out, os.str());
+    return 0;
   }
   std::printf("version   %u\n", info.version);
   std::printf("payload   %llu bytes, fnv1a64=%016llx (%s)\n",
@@ -296,44 +268,24 @@ int cmd_info(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--at=", 0) == 0) {
-      cli.at = std::strtoull(arg.c_str() + 5, nullptr, 0);
+  for (cli::Args a("sealpk-snapshot", argc, argv); a.next();) {
+    if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--seal", &cli.perm_seal) ||
+        a.value("--ss", &cli.ss, cli::parse_ss_kind) ||
+        a.value("--out", &cli.out) || a.json(&cli.json, &cli.json_out) ||
+        cli::fault_plan_flag(a, &cli.plan)) {
+      continue;
+    }
+    if (a.value("--at", &cli.at)) {
       cli.have_at = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      cli.out = arg.substr(6);
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_out = arg.substr(7);
-    } else if (arg.rfind("--expect-exit=", 0) == 0) {
-      cli.expect_exit = std::strtoll(arg.c_str() + 14, nullptr, 0);
+    } else if (a.value("--expect-exit", &cli.expect_exit)) {
       cli.have_expect_exit = true;
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.plan.enabled = true;
-      cli.plan.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.plan.enabled = true;
-      cli.plan.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--cam-rate=", 0) == 0) {
-      cli.plan.enabled = true;
-      cli.plan.cam_rate = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.plan.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
+    } else if (!a.positional()) {
+      a.reject();
     } else if (cli.command.empty()) {
-      cli.command = arg;
+      cli.command = a.arg();
     } else {
-      cli.positional.push_back(arg);
+      cli.positional.push_back(a.arg());
     }
   }
 

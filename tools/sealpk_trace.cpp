@@ -26,13 +26,12 @@
 //
 // Exit status: 0 success, 1 diff/check failure, 2 usage or I/O errors.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/json.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
@@ -73,17 +72,6 @@ int usage() {
   return 2;
 }
 
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
-}
-
 const wl::Workload* find_workload(const std::string& name) {
   for (const auto& w : wl::all_workloads()) {
     if (name == w.name) return &w;
@@ -91,23 +79,9 @@ const wl::Workload* find_workload(const std::string& name) {
   return nullptr;
 }
 
-void write_file(const std::string& path, const std::vector<u8>& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error("short write to '" + path + "'");
-}
-
-std::vector<u8> read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open '" + path + "'");
-  return std::vector<u8>(std::istreambuf_iterator<char>(f),
-                         std::istreambuf_iterator<char>());
-}
-
 obs::Trace load_trace(const std::string& path) {
-  return obs::parse(read_file(path));
+  const std::string bytes = cli::read_file(path);
+  return obs::parse(std::vector<u8>(bytes.begin(), bytes.end()));
 }
 
 int cmd_record(const CliOptions& cli) {
@@ -142,7 +116,7 @@ int cmd_record(const CliOptions& cli) {
   const std::vector<u8> blob = machine.recorder()->serialize_blob();
   const std::string out =
       cli.out.empty() ? cli.positional[0] + ".spktrace" : cli.out;
-  write_file(out, blob);
+  cli::write_file(out, blob);
   if (!cli.quiet) {
     const obs::TraceSummary s =
         machine.recorder()->summary(machine.hart().cycles());
@@ -164,17 +138,12 @@ int cmd_report(const CliOptions& cli) {
   // quantiles); exit-code parity with plain mode (both 0 on a loadable
   // blob — damage is caught by load_trace either way).
   if (cli.json) {
-    if (cli.json_out.empty()) {
-      obs::write_report_json(trace, std::cout);
-      return 0;
+    std::ostringstream os;
+    obs::write_report_json(trace, os);
+    cli::emit(cli.json_out, os.str());
+    if (!cli.json_out.empty() && !cli.quiet) {
+      std::printf("%s: report json\n", cli.json_out.c_str());
     }
-    std::ofstream f(cli.json_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-      return 2;
-    }
-    obs::write_report_json(trace, f);
-    if (!cli.quiet) std::printf("%s: report json\n", cli.json_out.c_str());
     return 0;
   }
   obs::write_report(trace, std::cout);
@@ -187,21 +156,15 @@ int cmd_export(const CliOptions& cli) {
   }
   const obs::Trace trace = load_trace(cli.positional[0]);
   if (!cli.json_out.empty()) {
-    std::ofstream f(cli.json_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-      return 2;
-    }
-    obs::write_perfetto_json(trace, f);
+    std::ostringstream os;
+    obs::write_perfetto_json(trace, os);
+    cli::write_file(cli.json_out, os.str());
     if (!cli.quiet) std::printf("%s: perfetto json\n", cli.json_out.c_str());
   }
   if (!cli.collapsed_out.empty()) {
-    std::ofstream f(cli.collapsed_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.collapsed_out.c_str());
-      return 2;
-    }
-    obs::write_collapsed(trace, f);
+    std::ostringstream os;
+    obs::write_collapsed(trace, os);
+    cli::write_file(cli.collapsed_out, os.str());
     if (!cli.quiet) {
       std::printf("%s: collapsed stacks\n", cli.collapsed_out.c_str());
     }
@@ -218,15 +181,12 @@ int cmd_diff(const CliOptions& cli) {
   // divergence exits nonzero in JSON mode exactly as in plain mode (the
   // same contract sealpk-fleet diff --json pins).
   if (!cli.json_out.empty()) {
-    std::ofstream f(cli.json_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-      return 2;
-    }
-    f << "{\"a\": \"" << json_escape(cli.positional[0]) << "\", \"b\": \""
-      << json_escape(cli.positional[1])
-      << "\", \"identical\": " << (delta.empty() ? "true" : "false")
-      << ", \"delta\": \"" << json_escape(delta) << "\"}\n";
+    std::ostringstream os;
+    os << "{\"a\": \"" << json_escape(cli.positional[0]) << "\", \"b\": \""
+       << json_escape(cli.positional[1])
+       << "\", \"identical\": " << (delta.empty() ? "true" : "false")
+       << ", \"delta\": \"" << json_escape(delta) << "\"}\n";
+    cli::write_file(cli.json_out, os.str());
     return delta.empty() ? 0 : 1;
   }
   if (delta.empty()) {
@@ -241,35 +201,22 @@ int cmd_diff(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg == "--timeline") {
-      cli.timeline = true;
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--out=", 0) == 0) {
-      cli.out = arg.substr(6);
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_out = arg.substr(7);
-    } else if (arg.rfind("--collapsed=", 0) == 0) {
-      cli.collapsed_out = arg.substr(12);
-    } else if (arg.rfind("--sample=", 0) == 0) {
-      cli.sample = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--ring=", 0) == 0) {
-      cli.ring = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
+  for (cli::Args a("sealpk-trace", argc, argv); a.next();) {
+    if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--seal", &cli.perm_seal) ||
+        a.flag("--timeline", &cli.timeline) ||
+        a.value("--ss", &cli.ss, cli::parse_ss_kind) ||
+        a.value("--out", &cli.out) || a.json(&cli.json, &cli.json_out) ||
+        a.value("--collapsed", &cli.collapsed_out) ||
+        a.value("--sample", &cli.sample) || a.value("--ring", &cli.ring)) {
+      continue;
+    }
+    if (!a.positional()) {
+      a.reject();
     } else if (cli.command.empty()) {
-      cli.command = arg;
+      cli.command = a.arg();
     } else {
-      cli.positional.push_back(arg);
+      cli.positional.push_back(a.arg());
     }
   }
 

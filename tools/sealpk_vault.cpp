@@ -29,11 +29,10 @@
 //   sealpk-vault sweep --threads=4 --selfcheck --json=vault_sweep.json
 //   sealpk-vault sweep --chaos --chaos-seed=7 --threads=4
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli.h"
 #include "sim/machine.h"
 #include "vault/run.h"
 #include "vault/sweep.h"
@@ -69,13 +68,6 @@ int usage() {
       "  --json=<path>            machine-readable sweep verdict\n"
       "  -q                       suppress the canonical report\n");
   return 2;
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return out.good();
 }
 
 int mode_run(const CliOptions& cli) {
@@ -121,10 +113,7 @@ int mode_sweep(const CliOptions& cli) {
   if (!cli.json_path.empty()) {
     std::ostringstream os;
     vault::write_sweep_json(os, cli.cfg, r);
-    if (!write_text_file(cli.json_path, os.str())) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_file(cli.json_path, os.str());
   }
   return rc;
 }
@@ -133,57 +122,32 @@ int mode_sweep(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "run" || arg == "sweep") {
-      if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--chaos") {
-      cli.cfg.chaos = true;
-    } else if (arg.rfind("--slots=", 0) == 0) {
-      cli.cfg.spec.n_slots = std::strtoull(arg.c_str() + 8, nullptr, 0);
-    } else if (arg.rfind("--slot-size=", 0) == 0) {
-      cli.cfg.spec.slot_size = std::strtoull(arg.c_str() + 12, nullptr, 0);
-    } else if (arg.rfind("--seals=", 0) == 0) {
-      cli.cfg.spec.seals =
-          static_cast<u32>(std::strtoul(arg.c_str() + 8, nullptr, 0));
-    } else if (arg.rfind("--reseals=", 0) == 0) {
-      cli.cfg.spec.reseals =
-          static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--unseals=", 0) == 0) {
-      cli.cfg.spec.unseals =
-          static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.cfg.spec.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (arg.rfind("--points=", 0) == 0) {
-      cli.cfg.min_points = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--stride=", 0) == 0) {
-      cli.cfg.stride_points = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.cfg.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--rollback-every=", 0) == 0) {
-      cli.cfg.rollback_every = std::strtoull(arg.c_str() + 17, nullptr, 0);
-    } else if (arg.rfind("--checkpoint-interval=", 0) == 0) {
-      cli.cfg.checkpoint_interval =
-          std::strtoull(arg.c_str() + 22, nullptr, 0);
-    } else if (arg.rfind("--chaos-runs=", 0) == 0) {
-      cli.cfg.chaos_runs = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.cfg.chaos_seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.cfg.chaos_rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--chaos-max-faults=", 0) == 0) {
-      cli.cfg.chaos_max_faults = std::strtoull(arg.c_str() + 19, nullptr, 0);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else {
-      return usage();
+  vault::SweepConfig& cfg = cli.cfg;
+  for (cli::Args a("sealpk-vault", argc, argv); a.next();) {
+    if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--selfcheck", &cli.selfcheck) ||
+        a.flag("--chaos", &cfg.chaos) ||
+        a.value("--slots", &cfg.spec.n_slots) ||
+        a.value("--slot-size", &cfg.spec.slot_size) ||
+        a.value("--seals", &cfg.spec.seals) ||
+        a.value("--reseals", &cfg.spec.reseals) ||
+        a.value("--unseals", &cfg.spec.unseals) ||
+        a.value("--seed", &cfg.spec.seed) ||
+        a.value("--points", &cfg.min_points) ||
+        a.value("--stride", &cfg.stride_points) ||
+        a.value("--threads", &cfg.threads) ||
+        a.value("--rollback-every", &cfg.rollback_every) ||
+        a.value("--checkpoint-interval", &cfg.checkpoint_interval) ||
+        a.value("--chaos-runs", &cfg.chaos_runs) ||
+        a.value("--chaos-seed", &cfg.chaos_seed) ||
+        a.value("--chaos-rate", &cfg.chaos_rate) ||
+        a.value("--chaos-max-faults", &cfg.chaos_max_faults) ||
+        a.value("--json", &cli.json_path)) {
+      continue;
     }
+    if (!a.is("run") && !a.is("sweep")) a.reject();
+    if (!cli.mode.empty()) return usage();
+    cli.mode = a.arg();
   }
   if (cli.mode == "run") return mode_run(cli);
   if (cli.mode == "sweep") return mode_sweep(cli);

@@ -4,7 +4,8 @@
 // shadow-stack instrumentation variant first, exactly as the Figure-5
 // harness would), links them, and runs the src/analysis verifier over the
 // resulting binaries. Exit status: 0 when every inspected program is
-// admissible (no error-severity findings), 1 otherwise, 2 on usage errors.
+// admissible (no error-severity findings), 1 otherwise, 2 on usage errors
+// or when the --json file cannot be written.
 //
 // Usage:
 //   sealpk-verify --all                      # inspect all 17 workloads
@@ -15,13 +16,13 @@
 //   sealpk-verify --all --json=out.json      # ... written to a file
 //   sealpk-verify --list                     # list known workload names
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "cli.h"
 #include "passes/shadow_stack.h"
 #include "workloads/workload.h"
 
@@ -40,17 +41,6 @@ struct CliOptions {
   std::vector<std::string> names;
   analysis::VerifyOptions verify;
 };
-
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
-}
 
 int usage() {
   std::fprintf(
@@ -86,30 +76,21 @@ Verified verify_one(const wl::Workload& w, const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--all") {
-      cli.all = true;
-    } else if (arg == "--list") {
-      cli.list = true;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--trust=", 0) == 0) {
-      cli.verify.trusted_gates.insert(arg.substr(8));
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_path = arg.substr(7);
-      if (cli.json_path.empty()) return usage();
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
+  for (cli::Args a("sealpk-verify", argc, argv); a.next();) {
+    std::string gate;
+    if (a.flag("--all", &cli.all) || a.flag("--list", &cli.list) ||
+        a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--seal", &cli.perm_seal) ||
+        a.value("--ss", &cli.ss, cli::parse_ss_kind) ||
+        a.json(&cli.json, &cli.json_path)) {
+      continue;
+    }
+    if (a.value("--trust", &gate)) {
+      cli.verify.trusted_gates.insert(gate);
+    } else if (a.positional()) {
+      cli.names.push_back(a.arg());
     } else {
-      cli.names.push_back(arg);
+      a.reject();
     }
   }
 
@@ -141,15 +122,7 @@ int main(int argc, char** argv) {
   }
 
   if (cli.json) {
-    std::ofstream file;
-    if (!cli.json_path.empty()) {
-      file.open(cli.json_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-        return 2;
-      }
-    }
-    std::ostream& os = cli.json_path.empty() ? std::cout : file;
+    std::ostringstream os;
     os << "{\n  \"schema\": \"sealpk-verify-v1\",\n"
        << "  \"inspected\": " << results.size() << ",\n"
        << "  \"errors\": " << errors << ",\n"
@@ -159,6 +132,7 @@ int main(int argc, char** argv) {
       os << (i + 1 < results.size() ? ",\n" : "\n");
     }
     os << "  ]\n}\n";
+    cli::emit(cli.json_path, os.str());
   } else {
     for (const auto& v : results) {
       if (!cli.quiet || !v.report.clean()) {

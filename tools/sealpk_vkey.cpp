@@ -25,11 +25,10 @@
 //   sealpk-vkey run --sessions=512 --raw
 //   sealpk-vkey sweep --threads=4 --selfcheck --json=BENCH_keychurn.json
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "mpk/session.h"
 
 using namespace sealpk;
@@ -69,24 +68,6 @@ int usage() {
   return 2;
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
-
-std::vector<u64> parse_scales(const char* s) {
-  std::vector<u64> scales;
-  while (*s != '\0') {
-    char* end = nullptr;
-    scales.push_back(std::strtoull(s, &end, 0));
-    if (end == s) return {};
-    s = *end == ',' ? end + 1 : end;
-  }
-  return scales;
-}
-
 int mode_run(const CliOptions& cli) {
   mpk::SessionConfig cfg = cli.cfg;
   if (!cli.ops_set) cfg.ops = 2 * cfg.sessions;
@@ -110,7 +91,6 @@ int mode_run(const CliOptions& cli) {
 }
 
 int mode_sweep(const CliOptions& cli) {
-  if (cli.scales.empty()) return usage();
   const std::vector<mpk::ChurnCell> cells =
       mpk::run_churn_sweep(cli.scales, cli.cfg.seed, cli.threads);
   const std::string records = mpk::sweep_records(cells);
@@ -131,10 +111,7 @@ int mode_sweep(const CliOptions& cli) {
     }
   }
   if (!cli.json_path.empty()) {
-    if (!write_text_file(cli.json_path, mpk::churn_json(cells))) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_file(cli.json_path, mpk::churn_json(cells));
   }
   return rc;
 }
@@ -143,42 +120,26 @@ int mode_sweep(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "run" || arg == "sweep") {
-      if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--lazy") {
-      cli.cfg.lazy_sync = true;
-    } else if (arg == "--raw") {
-      cli.cfg.raw = true;
-    } else if (arg.rfind("--sessions=", 0) == 0) {
-      cli.cfg.sessions = std::strtoull(arg.c_str() + 11, nullptr, 0);
-    } else if (arg.rfind("--ops=", 0) == 0) {
-      cli.cfg.ops = std::strtoull(arg.c_str() + 6, nullptr, 0);
-      cli.ops_set = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.cfg.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (arg.rfind("--mru=", 0) == 0) {
-      cli.cfg.mru_slots =
-          static_cast<u32>(std::strtoul(arg.c_str() + 6, nullptr, 0));
-    } else if (arg.rfind("--max-instr=", 0) == 0) {
-      cli.cfg.max_instructions = std::strtoull(arg.c_str() + 12, nullptr, 0);
-    } else if (arg.rfind("--scales=", 0) == 0) {
-      cli.scales = parse_scales(arg.c_str() + 9);
-      if (cli.scales.empty()) return usage();
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else {
-      return usage();
+  mpk::SessionConfig& cfg = cli.cfg;
+  for (cli::Args a("sealpk-vkey", argc, argv); a.next();) {
+    if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
+        a.flag("--selfcheck", &cli.selfcheck) ||
+        a.flag("--lazy", &cfg.lazy_sync) || a.flag("--raw", &cfg.raw) ||
+        a.value("--sessions", &cfg.sessions) ||
+        a.value("--seed", &cfg.seed) || a.value("--mru", &cfg.mru_slots) ||
+        a.value("--max-instr", &cfg.max_instructions) ||
+        a.value("--scales", &cli.scales) ||
+        a.value("--threads", &cli.threads) ||
+        a.value("--json", &cli.json_path)) {
+      continue;
     }
+    if (a.value("--ops", &cfg.ops)) {
+      cli.ops_set = true;
+      continue;
+    }
+    if (!a.is("run") && !a.is("sweep")) a.reject();
+    if (!cli.mode.empty()) return usage();
+    cli.mode = a.arg();
   }
   if (cli.mode == "run") return mode_run(cli);
   if (cli.mode == "sweep") return mode_sweep(cli);
