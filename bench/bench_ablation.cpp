@@ -11,7 +11,9 @@
 #include "hw/donky.h"
 #include "hw/seal_unit.h"
 #include "hwcost/fpga_model.h"
-#include "sim/fig5.h"
+#include "passes/shadow_stack.h"
+#include "sim/machine.h"
+#include "workloads/workload.h"
 
 using namespace sealpk;
 

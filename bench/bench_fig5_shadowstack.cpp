@@ -4,9 +4,10 @@
 // proxies, with per-suite geometric means and the paper's "~88x" headline
 // ratio.
 //
-// Usage: bench_fig5_shadowstack [--scale N] [--threads N] [--quiet] [--mix]
-//   --scale N   override every workload's bench scale (smaller = faster)
-//   --threads N worker-pool size for the cell matrix (default 1 = serial;
+// Usage: bench_fig5_shadowstack [--scale=N] [--threads=N] [--quiet] [--mix]
+//                               [--csv]
+//   --scale=N   override every workload's bench scale (smaller = faster)
+//   --threads=N worker-pool size for the cell matrix (default 1 = serial;
 //               0 = one per host hardware thread). Results are
 //               bit-identical for any value: cells run on private machines
 //               via the fleet batch engine (src/fleet).
@@ -15,40 +16,48 @@
 //               the two properties that drive its Figure-5 bars
 //   --csv       emit a machine-readable CSV of the matrix on stdout
 //               (suite,benchmark,variant,overhead_pct) after the tables
+//
+// Every cell is checksum-verified against the workload's golden model; a
+// failed cell prints its verdict on stderr and the bench exits 1.
 #include <cstdio>
-#include <cstring>
+#include <iterator>
 #include <optional>
 
-#include "sim/fig5.h"
+#include "cli.h"
+#include "fleet/engine.h"
+#include "fleet/report.h"
 
 using namespace sealpk;
 
 namespace {
 
-void print_row(const char* name, const sim::Fig5Row* row) {
-  if (row == nullptr) {
-    std::printf("%-14s %12s %9s %9s %9s %12s %12s\n", name, "base cycles",
-                "Inline", "Func", "SealPK-WR", "SealPK-RD+WR", "mprotect");
-    return;
+constexpr size_t kCells = 1 + std::size(fleet::kFig5Variants);
+
+// `row` points at one workload's cells: the baseline, then the variants in
+// legend order.
+void print_row(const fleet::JobResult* row) {
+  std::printf("%-14s %12llu", row[0].workload->name,
+              static_cast<unsigned long long>(row[0].cycles));
+  for (size_t v = 1; v < kCells; ++v) {
+    std::printf(v >= 4 ? " %11.2f%%" : " %8.2f%%",
+                fleet::overhead_pct(row[v], row[0]));
   }
-  std::printf("%-14s %12llu %8.2f%% %8.2f%% %8.2f%% %11.2f%% %11.2f%%\n",
-              name, static_cast<unsigned long long>(row->baseline_cycles),
-              row->overhead_pct(0), row->overhead_pct(1),
-              row->overhead_pct(2), row->overhead_pct(3),
-              row->overhead_pct(4));
+  std::printf("\n");
 }
 
-void print_suite(const std::vector<sim::Fig5Row>& rows, wl::Suite suite) {
+void print_suite(const std::vector<fleet::JobResult>& results,
+                 wl::Suite suite) {
   std::printf("\n--- %s ---\n", wl::suite_name(suite));
-  print_row("benchmark", nullptr);
-  for (const auto& row : rows) {
-    if (row.workload->suite == suite) {
-      print_row(row.workload->name, &row);
-    }
+  std::printf("%-14s %12s %9s %9s %9s %12s %12s\n", "benchmark",
+              "base cycles", "Inline", "Func", "SealPK-WR", "SealPK-RD+WR",
+              "mprotect");
+  for (size_t i = 0; i < results.size(); i += kCells) {
+    if (results[i].workload->suite == suite) print_row(&results[i]);
   }
   std::printf("%-14s %12s", "GMean", "");
-  for (size_t v = 0; v < sim::kNumFig5Variants; ++v) {
-    const double g = sim::suite_gmean_overhead(rows, suite, v);
+  for (size_t v = 0; v < std::size(fleet::kFig5Variants); ++v) {
+    const double g =
+        fleet::gmean_overhead(results, suite, fleet::kFig5Variants[v]);
     std::printf(v >= 3 ? " %11.2f%%" : " %8.2f%%", g);
   }
   std::printf("\n");
@@ -58,26 +67,18 @@ void print_suite(const std::vector<sim::Fig5Row>& rows, wl::Suite suite) {
 
 int main(int argc, char** argv) {
   std::optional<u64> scale;
-  bool verbose = true;
+  bool quiet = false;
   bool mix = false;
   bool csv = false;
-  unsigned threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      scale = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      verbose = false;
-    } else if (std::strcmp(argv[i], "--mix") == 0) {
-      mix = true;
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scale N] [--threads N] [--quiet] [--mix]\n",
-                   argv[0]);
-      return 2;
+  fleet::FleetOptions opts;
+  for (cli::Args a("bench_fig5_shadowstack", argc, argv); a.next();) {
+    u64 s = 0;
+    if (a.value("--scale", &s)) {
+      scale = s;
+    } else if (!a.value("--threads", &opts.threads) &&
+               !a.flag("--quiet", &quiet) && !a.flag("--mix", &mix) &&
+               !a.flag("--csv", &csv)) {
+      a.reject();
     }
   }
 
@@ -85,11 +86,29 @@ int main(int argc, char** argv) {
       "Figure 5: shadow-stack performance overhead vs. uninstrumented "
       "baseline\n(simulated Rocket-class hart; every cell checksum-verified "
       "against the golden model)\n");
-  const auto rows = sim::run_figure5(scale, verbose, threads);
+  if (!quiet) {
+    opts.on_done = [](const fleet::JobResult& r) {
+      std::fprintf(stderr, "  %s %s: %s\n", r.label.c_str(),
+                   passes::shadow_stack_kind_name(r.ss), r.verdict.c_str());
+    };
+  }
+  fleet::ImageCache cache;
+  const std::vector<fleet::JobResult> results =
+      fleet::run_jobs(fleet::fig5_specs(scale), cache, opts);
+  // A failed cell (checksum mismatch, non-zero exit, timeout) fails the
+  // run instead of skewing the figure.
+  bool failed = false;
+  for (const fleet::JobResult& r : results) {
+    if (r.ok) continue;
+    std::fprintf(stderr, "bench_fig5_shadowstack: %s: %s\n", r.label.c_str(),
+                 r.verdict.c_str());
+    failed = true;
+  }
+  if (failed) return 1;
 
-  print_suite(rows, wl::Suite::kSpec2000);
-  print_suite(rows, wl::Suite::kSpec2006);
-  print_suite(rows, wl::Suite::kMiBench);
+  print_suite(results, wl::Suite::kSpec2000);
+  print_suite(results, wl::Suite::kSpec2006);
+  print_suite(results, wl::Suite::kMiBench);
 
   std::printf("\nPaper targets (GMean): SPECint2000 mprotect 2875.62%% / "
               "SealPK-RD+WR 21.00%%\n");
@@ -101,16 +120,17 @@ int main(int argc, char** argv) {
       "\nIsolated shadow stack via SealPK is ~%.0fx faster than via "
       "mprotect\n(geomean of per-suite overhead ratios; paper reports "
       "~88x)\n",
-      sim::mprotect_speedup_factor(rows));
+      fleet::mprotect_speedup(results));
 
   if (csv) {
     std::printf("\nsuite,benchmark,variant,overhead_pct\n");
-    for (const auto& row : rows) {
-      for (size_t v = 0; v < sim::kNumFig5Variants; ++v) {
-        std::printf("%s,%s,%s,%.4f\n", wl::suite_name(row.workload->suite),
-                    row.workload->name,
-                    passes::shadow_stack_kind_name(sim::kFig5Variants[v]),
-                    row.overhead_pct(v));
+    for (size_t i = 0; i < results.size(); i += kCells) {
+      for (size_t v = 1; v < kCells; ++v) {
+        std::printf("%s,%s,%s,%.4f\n",
+                    wl::suite_name(results[i].workload->suite),
+                    results[i].workload->name,
+                    passes::shadow_stack_kind_name(results[i + v].ss),
+                    fleet::overhead_pct(results[i + v], results[i]));
       }
     }
   }
@@ -122,14 +142,14 @@ int main(int argc, char** argv) {
         "(EXPERIMENTS.md, calibration)\n");
     std::printf("%-14s %-13s %14s %16s %12s\n", "benchmark", "suite",
                 "instructions", "calls/kcycle", "RSS pages");
-    for (const auto& row : rows) {
-      const double rate = 1000.0 * static_cast<double>(row.baseline.calls) /
-                          static_cast<double>(row.baseline.cycles);
-      std::printf("%-14s %-13s %14llu %16.2f %12llu\n",
-                  row.workload->name, wl::suite_name(row.workload->suite),
-                  static_cast<unsigned long long>(row.baseline.instructions),
-                  rate,
-                  static_cast<unsigned long long>(row.baseline.pages_mapped));
+    for (size_t i = 0; i < results.size(); i += kCells) {
+      const fleet::JobResult& base = results[i];
+      const double rate = 1000.0 * static_cast<double>(base.calls) /
+                          static_cast<double>(base.cycles);
+      std::printf("%-14s %-13s %14llu %16.2f %12llu\n", base.workload->name,
+                  wl::suite_name(base.workload->suite),
+                  static_cast<unsigned long long>(base.instructions), rate,
+                  static_cast<unsigned long long>(base.pages_mapped));
     }
   }
   return 0;

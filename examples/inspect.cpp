@@ -1,15 +1,16 @@
-// Tooling demo: run a benchmark proxy under the instruction tracer and
-// dump machine statistics — the workflow for debugging a guest program or
-// an instrumentation pass.
+// Tooling demo: run a benchmark proxy with the event recorder on, then dump
+// machine statistics and the recorder's report (event counts, per-pkey
+// table, domain residency, hottest functions) — the workflow for debugging
+// a guest program or an instrumentation pass.
 //
 // Usage: inspect [workload-name]   (default: qsort)
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 
+#include "obs/export.h"
 #include "passes/shadow_stack.h"
 #include "sim/stats.h"
-#include "sim/trace.h"
 #include "workloads/workload.h"
 
 using namespace sealpk;
@@ -37,10 +38,11 @@ int main(int argc, char** argv) {
   opts.kind = passes::ShadowStackKind::kSealPkRdWr;
   passes::apply_shadow_stack(prog, opts);
 
-  sim::Machine machine{sim::MachineConfig{}};
+  sim::MachineConfig config;
+  config.trace.enabled = true;
+  config.trace.sample_interval = 256;  // PC profiler, for the hot functions
+  sim::Machine machine(config);
   const int pid = machine.load(prog.link());
-  sim::Tracer tracer(24);
-  tracer.attach(machine.hart());
   const auto outcome = machine.run();
 
   std::printf("%s/%s under the SealPK-RD+WR shadow stack: %s, exit %lld\n",
@@ -57,8 +59,7 @@ int main(int argc, char** argv) {
 
   sim::print_stats(sim::collect_stats(machine), std::cout);
 
-  std::printf("\nlast %zu instructions (ring-buffer trace):\n",
-              tracer.entries().size());
-  tracer.dump(std::cout);
+  std::printf("\n");
+  obs::write_report(machine.recorder()->trace(), std::cout);
   return 0;
 }

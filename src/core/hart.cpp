@@ -329,7 +329,6 @@ StepResult Hart::run(u64 max_steps) {
     u32 word = 0;
     if (fetch(&word)) {
       const Inst inst = isa::decode_cached(word);
-      if (trace_hook_) trace_hook_(priv_, pc_, inst);
       if (inst.op == Op::kIllegal) {
         raise(TrapCause::kIllegalInst, word);
       } else {

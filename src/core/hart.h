@@ -105,13 +105,6 @@ class Hart {
   // Flushes both TLBs (the kernel's sfence.vma after PTE updates).
   void flush_tlbs();
 
-  // Optional per-instruction trace hook: invoked after a successful fetch +
-  // decode, before execution, with the current privilege, PC and the
-  // decoded instruction. Zero cost when unset. Used by the trace tooling
-  // and by tests that assert on executed instruction streams.
-  using TraceHook = std::function<void(Priv priv, u64 pc, const isa::Inst&)>;
-  void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
-
   // Optional PKR write-through hook: invoked after every successful WRPKR
   // with the final row value actually committed to the SRAM
   // (sealed-neighbour preservation already applied). The kernel uses it to
@@ -123,9 +116,9 @@ class Hart {
   }
 
   // Optional observability sink (src/obs): traps, pkey denials and
-  // RDPKR/WRPKR domain transitions are published here. Same zero-cost
-  // discipline as the trace hook — one null check when unset, and emits
-  // charge no cycles, so tracing never perturbs architectural state.
+  // RDPKR/WRPKR domain transitions are published here. One null check
+  // when unset, and emits charge no cycles, so tracing never perturbs
+  // architectural state.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   // Fault-injection port: take `cause` as if the *current* instruction had
@@ -178,7 +171,6 @@ class Hart {
   u64 cycles_ = 0;
   u64 instret_ = 0;
   HartStats stats_;
-  TraceHook trace_hook_;
   PkrWriteHook pkr_write_hook_;
   obs::Recorder* recorder_ = nullptr;
   bool trapped_ = false;      // set by raise() during the current step

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/json.h"
+
 namespace sealpk::fleet {
 
 const char* job_kind_name(JobKind kind) {
@@ -24,27 +26,6 @@ const char* resolution_name(fault::FaultResolution r) {
   return "unknown";
 }
 
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 }  // namespace
 
 std::string JobSpec::label() const {
@@ -60,10 +41,10 @@ std::string JobSpec::label() const {
 std::string canonical_record(const JobResult& r) {
   std::ostringstream os;
   os << "{\"id\": " << r.id << ", \"label\": ";
-  json_string(os, r.label);
+  os << '"' << json_escape(r.label) << '"';
   os << ", \"kind\": \"" << job_kind_name(r.kind) << "\", \"ok\": "
      << (r.ok ? "true" : "false") << ", \"verdict\": ";
-  json_string(os, r.verdict);
+  os << '"' << json_escape(r.verdict) << '"';
   os << ", \"ran\": " << (r.ran ? "true" : "false")
      << ", \"completed\": " << (r.completed ? "true" : "false")
      << ", \"exit\": " << r.exit_code

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -28,6 +28,26 @@ Aggregate aggregate(const std::vector<JobResult>& results) {
   return agg;
 }
 
+std::vector<JobSpec> fig5_specs(std::optional<u64> scale) {
+  std::vector<JobSpec> specs;
+  for (const wl::Workload& workload : wl::all_workloads()) {
+    for (size_t v = 0; v <= std::size(kFig5Variants); ++v) {
+      JobSpec spec;
+      spec.id = static_cast<u32>(specs.size());
+      spec.workload = &workload;
+      spec.ss = v == 0 ? passes::ShadowStackKind::kNone : kFig5Variants[v - 1];
+      spec.scale = scale.value_or(workload.bench_scale);
+      specs.push_back(std::move(spec));
+    }
+  }
+  return specs;
+}
+
+double overhead_pct(const JobResult& variant, const JobResult& baseline) {
+  const double base = static_cast<double>(baseline.cycles);
+  return 100.0 * (static_cast<double>(variant.cycles) - base) / base;
+}
+
 double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
                       passes::ShadowStackKind ss, bool perm_seal) {
   double log_sum = 0;
@@ -50,17 +70,25 @@ double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
       }
     }
     if (base == nullptr || !base->ok || base->cycles == 0) continue;
-    const double overhead =
-        100.0 *
-        (static_cast<double>(v.cycles) - static_cast<double>(base->cycles)) /
-        static_cast<double>(base->cycles);
-    // Same floor as sim::suite_gmean_overhead: a single near-zero bar must
-    // not zero the mean (the paper's log-scale plot has the same clamp).
-    log_sum += std::log(std::max(overhead, 0.01));
+    log_sum += std::log(std::max(overhead_pct(v, *base), 0.01));
     ++count;
   }
   if (count == 0) return -1.0;
   return std::exp(log_sum / count);
+}
+
+double mprotect_speedup(const std::vector<JobResult>& results) {
+  double log_sum = 0;
+  for (const wl::Suite suite : {wl::Suite::kSpec2000, wl::Suite::kSpec2006,
+                                wl::Suite::kMiBench}) {
+    const double mprot =
+        gmean_overhead(results, suite, passes::ShadowStackKind::kMprotect);
+    const double rdwr =
+        gmean_overhead(results, suite, passes::ShadowStackKind::kSealPkRdWr);
+    if (mprot < 0 || rdwr < 0) return -1.0;
+    log_sum += std::log(mprot / rdwr);
+  }
+  return std::exp(log_sum / 3.0);
 }
 
 namespace {
@@ -161,16 +189,6 @@ void write_report(std::ostream& os, const std::vector<JobResult>& results,
   os << "\n}\n";
 }
 
-bool write_report_file(const std::string& path,
-                       const std::vector<JobResult>& results,
-                       const ReportOptions& opts) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  write_report(out, results, opts);
-  out.flush();
-  return static_cast<bool>(out);
-}
-
 namespace {
 
 // Pulls the canonical record lines (one per job) out of a report text.
@@ -228,15 +246,6 @@ void write_diff_report(std::ostream& os, const std::string& a_name,
   os << "  \"identical\": " << (diverging == 0 ? "true" : "false") << ",\n";
   os << "  \"log\": \"" << json_escape(log_text) << "\"\n";
   os << "}\n";
-}
-
-bool write_diff_report_file(const std::string& path, const std::string& a_name,
-                            const std::string& b_name, size_t diverging,
-                            const std::string& log_text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_diff_report(out, a_name, b_name, diverging, log_text);
-  return out.good();
 }
 
 void write_matrix_json(std::ostream& os,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,14 +33,33 @@ struct Aggregate {
 
 Aggregate aggregate(const std::vector<JobResult>& results);
 
+// The Figure-5 matrix: every workload x (the kNone baseline + the five
+// kFig5Variants), in figure order, ids dense from 0. `scale` overrides each
+// workload's bench_scale.
+inline constexpr passes::ShadowStackKind kFig5Variants[] = {
+    passes::ShadowStackKind::kInline,     passes::ShadowStackKind::kFunc,
+    passes::ShadowStackKind::kSealPkWr,   passes::ShadowStackKind::kSealPkRdWr,
+    passes::ShadowStackKind::kMprotect,
+};
+std::vector<JobSpec> fig5_specs(std::optional<u64> scale = std::nullopt);
+
+// Cycle overhead of `variant` over `baseline`, in percent.
+double overhead_pct(const JobResult& variant, const JobResult& baseline);
+
 // Geometric mean of per-workload overhead (percent, vs the kNone baseline
-// job for the same workload among `results`) across the suite — the same
-// math as sim::suite_gmean_overhead, including the 0.01% clamp. Only pairs
-// whose variant and baseline jobs both completed (ok) count. Returns a
-// negative value when the suite has no such pair, so callers can skip
-// rather than divide by nothing.
+// job for the same workload among `results`) across the suite. Overheads
+// below 0.01% are clamped to it, so a single near-zero bar cannot zero the
+// mean (the paper's log-scale plot has the same floor). Only pairs whose
+// variant and baseline jobs both completed (ok) count. Returns a negative
+// value when the suite has no such pair, so callers can skip rather than
+// divide by nothing.
 double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
                       passes::ShadowStackKind ss, bool perm_seal = false);
+
+// The paper's headline: the geomean over the three suites of (mprotect
+// gmean overhead / SealPK-RD+WR gmean overhead), "~88x faster". Negative
+// when a suite lacks either gmean.
+double mprotect_speedup(const std::vector<JobResult>& results);
 
 struct ReportOptions {
   unsigned threads = 1;
@@ -51,10 +71,6 @@ struct ReportOptions {
 
 void write_report(std::ostream& os, const std::vector<JobResult>& results,
                   const ReportOptions& opts);
-// Returns false when the file cannot be written.
-bool write_report_file(const std::string& path,
-                       const std::vector<JobResult>& results,
-                       const ReportOptions& opts);
 
 // One entry of the instrumentation axis as the CLI spells it (the table
 // itself lives with the CLI; callers pass it in).
@@ -84,9 +100,5 @@ size_t diff_reports(const std::string& a_text, const std::string& b_text,
 void write_diff_report(std::ostream& os, const std::string& a_name,
                        const std::string& b_name, size_t diverging,
                        const std::string& log_text);
-// Returns false when the file cannot be written.
-bool write_diff_report_file(const std::string& path, const std::string& a_name,
-                            const std::string& b_name, size_t diverging,
-                            const std::string& log_text);
 
 }  // namespace sealpk::fleet

@@ -1,12 +1,11 @@
 // Deterministic event recorder: the sink every publishing layer (hart,
 // kernel, fault injector, machine) writes into.
 //
-// Discipline mirrors the hart's trace hook: publishers hold a raw nullable
-// Recorder* and guard every emit with a null check, so a disabled trace is
-// one predictable branch per publish site and zero allocations. Publishing
-// charges no modelled cycles and never touches architectural state, which
-// is what makes an enabled-tracing run byte-identical (instructions,
-// cycles, snapshots) to a disabled one.
+// Publishers hold a raw nullable Recorder* and guard every emit with a null
+// check, so a disabled trace is one predictable branch per publish site and
+// zero allocations. Publishing charges no modelled cycles and never touches
+// architectural state, which is what makes an enabled-tracing run
+// byte-identical (instructions, cycles, snapshots) to a disabled one.
 #pragma once
 
 #include <deque>

@@ -64,10 +64,10 @@ struct MachineConfig {
   u64 max_rollbacks = 3;
 
   // --- observability (src/obs) ---------------------------------------------
-  // Off by default: publishers then sit on the same null-check fast path as
-  // the trace hook. Emits charge no modelled cycles and never touch
-  // architectural state, so enabling tracing cannot change a run's
-  // instructions, cycles or snapshots (guarded by the golden-compat test).
+  // Off by default: publishers then sit on a null-check fast path. Emits
+  // charge no modelled cycles and never touch architectural state, so
+  // enabling tracing cannot change a run's instructions, cycles or
+  // snapshots (guarded by the golden-compat test).
   // Deliberately NOT serialized into snapshots: the CFG section's byte
   // format is frozen by the v1 golden file, and a restored machine decides
   // its own tracing independently of how the snapshot was recorded.

@@ -3,27 +3,59 @@
 // pain, and the order of magnitude of the headline speedup.
 #include <gtest/gtest.h>
 
-#include "sim/fig5.h"
+#include <iterator>
+
+#include "fleet/engine.h"
+#include "fleet/report.h"
 
 namespace sealpk {
 namespace {
 
-// One shared run for all shape assertions (scale 1 ~= a second).
-const std::vector<sim::Fig5Row>& rows() {
-  static const std::vector<sim::Fig5Row> kRows = sim::run_figure5(1);
-  return kRows;
+constexpr size_t kCells = 1 + std::size(fleet::kFig5Variants);
+constexpr size_t kSealPkRdWr = 4;  // cell index within a workload's row
+constexpr size_t kMprotect = 5;
+
+// One shared run for all shape assertions (scale 1 ~= a second): every
+// workload's baseline cell, then its five variant cells.
+const std::vector<fleet::JobResult>& results() {
+  static const std::vector<fleet::JobResult> kResults = [] {
+    fleet::ImageCache cache;
+    return fleet::run_jobs(fleet::fig5_specs(1), cache);
+  }();
+  return kResults;
+}
+
+double overhead(size_t row, size_t cell) {
+  return fleet::overhead_pct(results()[row + cell], results()[row]);
+}
+
+double rdwr_gmean(wl::Suite suite) {
+  return fleet::gmean_overhead(results(), suite,
+                               passes::ShadowStackKind::kSealPkRdWr);
+}
+
+double mprotect_gmean(wl::Suite suite) {
+  return fleet::gmean_overhead(results(), suite,
+                               passes::ShadowStackKind::kMprotect);
+}
+
+TEST(Fig5Shape, EveryCellCompletesWithTheGoldenChecksum) {
+  ASSERT_EQ(results().size(), wl::all_workloads().size() * kCells);
+  for (const fleet::JobResult& r : results()) {
+    EXPECT_TRUE(r.ok) << r.label << ": " << r.verdict;
+  }
 }
 
 TEST(Fig5Shape, EveryWorkloadHasPositiveOverheadOrdering) {
-  for (const auto& row : rows()) {
+  for (size_t row = 0; row < results().size(); row += kCells) {
+    const char* name = results()[row].workload->name;
     // Inline < Func < SealPK-WR < SealPK-RD+WR << mprotect, per benchmark.
-    for (size_t v = 1; v < sim::kNumFig5Variants; ++v) {
-      EXPECT_LT(row.overhead_pct(v - 1), row.overhead_pct(v))
-          << row.workload->name << " variant " << v;
+    for (size_t v = 2; v < kCells; ++v) {
+      EXPECT_LT(overhead(row, v - 1), overhead(row, v))
+          << name << " variant " << v - 1;
     }
-    EXPECT_GT(row.overhead_pct(sim::kMprotectIdx),
-              8 * row.overhead_pct(sim::kSealPkRdWrIdx))
-        << row.workload->name;
+    EXPECT_GT(overhead(row, kMprotect), 8 * overhead(row, kSealPkRdWr))
+        << name;
   }
 }
 
@@ -32,14 +64,9 @@ TEST(Fig5Shape, SuiteGmeansTrackThePaper) {
   // 2875.62 / 1982.70 / 320.21 for SPEC2000 / SPEC2006 / MiBench. At the
   // reduced test scale the values shift, so assert generous brackets that
   // still pin who-wins-where.
-  const double rdwr2000 =
-      sim::suite_gmean_overhead(rows(), wl::Suite::kSpec2000,
-                                sim::kSealPkRdWrIdx);
-  const double rdwr2006 =
-      sim::suite_gmean_overhead(rows(), wl::Suite::kSpec2006,
-                                sim::kSealPkRdWrIdx);
-  const double rdwrMib = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kMiBench, sim::kSealPkRdWrIdx);
+  const double rdwr2000 = rdwr_gmean(wl::Suite::kSpec2000);
+  const double rdwr2006 = rdwr_gmean(wl::Suite::kSpec2006);
+  const double rdwrMib = rdwr_gmean(wl::Suite::kMiBench);
   EXPECT_GT(rdwr2000, 8.0);
   EXPECT_LT(rdwr2000, 45.0);
   EXPECT_GT(rdwr2006, 5.0);
@@ -47,12 +74,9 @@ TEST(Fig5Shape, SuiteGmeansTrackThePaper) {
   EXPECT_GT(rdwrMib, 3.0);
   EXPECT_LT(rdwrMib, 20.0);
 
-  const double mp2000 = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kSpec2000, sim::kMprotectIdx);
-  const double mp2006 = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kSpec2006, sim::kMprotectIdx);
-  const double mpMib = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kMiBench, sim::kMprotectIdx);
+  const double mp2000 = mprotect_gmean(wl::Suite::kSpec2000);
+  const double mp2006 = mprotect_gmean(wl::Suite::kSpec2006);
+  const double mpMib = mprotect_gmean(wl::Suite::kMiBench);
   // Suite ordering of mprotect pain: SPEC2000 > SPEC2006 > MiBench.
   EXPECT_GT(mp2000, mp2006);
   EXPECT_GT(mp2006, mpMib);
@@ -63,7 +87,7 @@ TEST(Fig5Shape, SuiteGmeansTrackThePaper) {
 TEST(Fig5Shape, HeadlineSpeedupNearPaper) {
   // Paper: "on average ~88x faster than ... mprotect". Assert the same
   // order of magnitude (x10 either way would be a broken model).
-  const double factor = sim::mprotect_speedup_factor(rows());
+  const double factor = fleet::mprotect_speedup(results());
   EXPECT_GT(factor, 40.0);
   EXPECT_LT(factor, 220.0);
 }
@@ -71,11 +95,11 @@ TEST(Fig5Shape, HeadlineSpeedupNearPaper) {
 TEST(Fig5Shape, InstrumentationNeverChangesInstructionCountsWildly) {
   // SealPK variants add prologue/epilogue work only: instruction-count
   // inflation must stay well below the mprotect variant's cycle inflation.
-  for (const auto& row : rows()) {
-    const double base = static_cast<double>(row.baseline_cycles);
+  for (size_t row = 0; row < results().size(); row += kCells) {
+    const double base = static_cast<double>(results()[row].cycles);
     const double rdwr =
-        static_cast<double>(row.variants[sim::kSealPkRdWrIdx].cycles);
-    EXPECT_LT(rdwr / base, 3.0) << row.workload->name;
+        static_cast<double>(results()[row + kSealPkRdWr].cycles);
+    EXPECT_LT(rdwr / base, 3.0) << results()[row].workload->name;
   }
 }
 

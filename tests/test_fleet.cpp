@@ -2,15 +2,16 @@
 // canonical records byte-identical for any thread count), image-cache
 // sharing (one build per distinct workload x variant x scale), per-job
 // timeout / crash containment (a failing job harms only itself), and
-// aggregation (fleet suite geomeans == the serial Figure-5 math).
+// aggregation (per-job results == a plain serial run; suite geomeans ==
+// the hand-computed Figure-5 math).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <sstream>
 
 #include "fleet/engine.h"
 #include "fleet/report.h"
-#include "sim/fig5.h"
 
 namespace sealpk {
 namespace {
@@ -234,76 +235,92 @@ TEST(Fleet, MachineCheckKillOnlyFailsItsOwnJob) {
 // --- aggregation ------------------------------------------------------------
 
 TEST(Fleet, CellResultsMatchTheSerialReference) {
-  // A fleet job must reproduce sim::run_cell (the pre-fleet serial driver)
-  // bit-for-bit: same cycles, instructions, calls and resident set.
+  // A fleet job must reproduce a plain build -> instrument -> load -> run
+  // on a fresh Machine bit-for-bit: same cycles, instructions, calls and
+  // resident set.
   const wl::Workload& qsort = named("qsort", wl::Suite::kMiBench);
   for (const auto kind : {passes::ShadowStackKind::kNone,
                           passes::ShadowStackKind::kSealPkRdWr,
                           passes::ShadowStackKind::kMprotect}) {
-    const sim::VariantResult serial = sim::run_cell(qsort, kind, 1);
+    SCOPED_TRACE(passes::shadow_stack_kind_name(kind));
+    isa::Program prog = qsort.build(1);
+    passes::ShadowStackOptions opts;
+    opts.kind = kind;
+    passes::apply_shadow_stack(prog, opts);
+    sim::Machine machine{sim::MachineConfig{}};
+    const int pid = machine.load(prog.link());
+    const sim::RunOutcome serial = machine.run(8'000'000'000ULL);
+    ASSERT_TRUE(serial.completed);
+    ASSERT_EQ(machine.exit_code(pid), 0);
+    ASSERT_EQ(machine.kernel().reports(), std::vector<u64>{qsort.golden(1)});
+
     fleet::ImageCache cache;
     const auto results =
         fleet::run_jobs({run_spec(0, qsort, kind)}, cache, {});
     ASSERT_TRUE(results[0].ok) << results[0].verdict;
     EXPECT_EQ(results[0].cycles, serial.cycles);
     EXPECT_EQ(results[0].instructions, serial.instructions);
-    EXPECT_EQ(results[0].calls, serial.calls);
-    EXPECT_EQ(results[0].pages_mapped, serial.pages_mapped);
+    EXPECT_EQ(results[0].calls, machine.hart().stats().calls);
+    EXPECT_EQ(results[0].pages_mapped,
+              machine.kernel().process(pid).aspace->pages_mapped());
   }
 }
 
+// A completed kRun result with only the fields the geomean reads.
+fleet::JobResult cell(const wl::Workload& w, passes::ShadowStackKind ss,
+                      u64 cycles, bool ok = true) {
+  fleet::JobResult r;
+  r.workload = &w;
+  r.ss = ss;
+  r.cycles = cycles;
+  r.ok = ok;
+  return r;
+}
+
 TEST(Fleet, SuiteGeomeansMatchTheFig5Math) {
-  // MiBench x (baseline + the five Figure-5 variants) through the pool,
-  // then: fleet::gmean_overhead == sim::suite_gmean_overhead on rows
-  // assembled from the very same results.
-  std::vector<fleet::JobSpec> specs;
-  for (const auto& w : wl::all_workloads()) {
-    if (w.suite != wl::Suite::kMiBench) continue;
-    specs.push_back(
-        run_spec(static_cast<u32>(specs.size()), w,
-                 passes::ShadowStackKind::kNone));
-    for (const auto kind : sim::kFig5Variants) {
-      specs.push_back(run_spec(static_cast<u32>(specs.size()), w, kind));
-    }
-  }
-  fleet::ImageCache cache;
-  fleet::FleetOptions opts;
-  opts.threads = 4;
-  const auto results = fleet::run_jobs(specs, cache, opts);
-
-  std::vector<sim::Fig5Row> rows;
-  size_t idx = 0;
-  for (const auto& w : wl::all_workloads()) {
-    if (w.suite != wl::Suite::kMiBench) continue;
-    sim::Fig5Row row;
-    row.workload = &w;
-    for (size_t v = 0; v <= sim::kNumFig5Variants; ++v, ++idx) {
-      const fleet::JobResult& r = results[idx];
-      ASSERT_TRUE(r.ok) << r.label << ": " << r.verdict;
-      sim::VariantResult cell{r.ss, r.cycles, r.instructions, r.calls,
-                              r.pages_mapped};
-      if (v == 0) {
-        row.baseline = cell;
-        row.baseline_cycles = cell.cycles;
-      } else {
-        row.variants.push_back(cell);
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-
-  for (size_t v = 0; v < sim::kNumFig5Variants; ++v) {
-    const double from_fig5 =
-        sim::suite_gmean_overhead(rows, wl::Suite::kMiBench, v);
-    const double from_fleet = fleet::gmean_overhead(
-        results, wl::Suite::kMiBench, sim::kFig5Variants[v]);
-    EXPECT_DOUBLE_EQ(from_fig5, from_fleet)
-        << passes::shadow_stack_kind_name(sim::kFig5Variants[v]);
-  }
-  // No baseline pair for a suite that was not run.
-  EXPECT_LT(fleet::gmean_overhead(results, wl::Suite::kSpec2000,
-                                  passes::ShadowStackKind::kMprotect),
-            0.0);
+  // Synthetic results with overheads worked out by hand.
+  using passes::ShadowStackKind;
+  const wl::Workload& qsort = named("qsort", wl::Suite::kMiBench);
+  const wl::Workload& sha = named("sha", wl::Suite::kMiBench);
+  const wl::Workload& fft = named("FFT", wl::Suite::kMiBench);
+  const wl::Workload& mcf = named("mcf", wl::Suite::kSpec2000);
+  const std::vector<fleet::JobResult> results = {
+      // 25% and 300% overhead: both pairs count.
+      cell(qsort, ShadowStackKind::kNone, 1000),
+      cell(qsort, ShadowStackKind::kMprotect, 1250),
+      cell(sha, ShadowStackKind::kNone, 2000),
+      cell(sha, ShadowStackKind::kMprotect, 8000),
+      // A failed variant is skipped, whatever its cycles.
+      cell(fft, ShadowStackKind::kNone, 1000),
+      cell(fft, ShadowStackKind::kMprotect, 1, /*ok=*/false),
+      // Zero and negative overheads clamp to 0.01%.
+      cell(qsort, ShadowStackKind::kSealPkRdWr, 1000),
+      cell(sha, ShadowStackKind::kSealPkRdWr, 1900),
+      // A failed baseline drops its pair.
+      cell(mcf, ShadowStackKind::kNone, 1000, /*ok=*/false),
+      cell(mcf, ShadowStackKind::kMprotect, 2000),
+  };
+  EXPECT_DOUBLE_EQ(fleet::overhead_pct(results[1], results[0]), 25.0);
+  EXPECT_DOUBLE_EQ(fleet::overhead_pct(results[7], results[2]), -5.0);
+  EXPECT_DOUBLE_EQ(fleet::gmean_overhead(results, wl::Suite::kMiBench,
+                                         ShadowStackKind::kMprotect),
+                   std::exp((std::log(25.0) + std::log(300.0)) / 2));
+  EXPECT_DOUBLE_EQ(fleet::gmean_overhead(results, wl::Suite::kMiBench,
+                                         ShadowStackKind::kSealPkRdWr),
+                   0.01);
+  // -1 when a suite has no completed pair: SPEC2000's only baseline
+  // failed, SPEC2006 was not run, and the Func variant was not run.
+  EXPECT_EQ(fleet::gmean_overhead(results, wl::Suite::kSpec2000,
+                                  ShadowStackKind::kMprotect),
+            -1.0);
+  EXPECT_EQ(fleet::gmean_overhead(results, wl::Suite::kSpec2006,
+                                  ShadowStackKind::kMprotect),
+            -1.0);
+  EXPECT_EQ(fleet::gmean_overhead(results, wl::Suite::kMiBench,
+                                  ShadowStackKind::kFunc),
+            -1.0);
+  // The headline needs both gmeans in every suite.
+  EXPECT_EQ(fleet::mprotect_speedup(results), -1.0);
 }
 
 TEST(Fleet, SuiteGeomeansCountOnlyCompletedPairs) {

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "guest_test_util.h"
 #include "passes/shadow_stack.h"
+#include "sim/stats.h"
 #include "snapshot/snapshot.h"
 #include "workloads/workload.h"
 
@@ -171,8 +173,8 @@ TEST(MultiProcess, AddressSpacesAndKeyNamespacesAreIsolated) {
 // The run loop steps in bursts up to its next audit, checkpoint, quantum or
 // budget deadline; a recorder makes it step singly. Both must leave the
 // machine in the same state after every run() call, whatever the budgets.
-// A nonzero `throw_at` makes the first step at that instret throw a host
-// exception, which lands inside a burst.
+// A nonzero `throw_at` makes the first WRPKR at or after that instret throw
+// a host exception from the PKR write hook, which lands inside a burst.
 void expect_bursts_match_single_steps(const std::vector<isa::Image>& images,
                                       const sim::MachineConfig& config,
                                       u64 throw_at = 0) {
@@ -187,14 +189,18 @@ void expect_bursts_match_single_steps(const std::vector<isa::Image>& images,
   if (throw_at != 0) {
     for (sim::Machine* m : {&bursts, &single}) {
       core::Hart& hart = m->hart();
-      hart.set_trace_hook(
-          [&hart, throw_at, armed = true](core::Priv, u64,
-                                          const isa::Inst&) mutable {
-            if (armed && hart.instret() == throw_at) {
-              armed = false;
-              throw std::runtime_error("host fault inside a burst");
-            }
-          });
+      os::Kernel& kernel = m->kernel();
+      // Keeps the kernel's per-thread PKR shadow, as its own hook does.
+      hart.set_pkr_write_hook([&hart, &kernel, throw_at, armed = true](
+                                  u32 row, u64 value) mutable {
+        if (armed && hart.instret() >= throw_at) {
+          armed = false;
+          throw std::runtime_error("host fault inside a burst");
+        }
+        if (kernel.has_current_thread()) {
+          kernel.thread(kernel.current_tid()).ctx.pkr[row] = value;
+        }
+      });
     }
   }
   for (const u64 budget : {u64{1}, u64{7}, u64{4'999}, u64{50'000},
@@ -234,30 +240,33 @@ TEST(RunLoop, BurstsMatchSingleStepsAcrossPreemptedProcesses) {
   }
 }
 
-// qsort under the mprotect shadow stack, which makes two syscalls per call,
-// so nearly every burst ends in a trap.
-isa::Image mprotect_qsort() {
+isa::Image qsort_under(passes::ShadowStackKind kind) {
   const wl::Workload* qsort = wl::find_workload(wl::Suite::kMiBench, "qsort");
   SEALPK_CHECK(qsort != nullptr);
   isa::Program prog = qsort->build(qsort->test_scale);
   passes::ShadowStackOptions opts;
-  opts.kind = passes::ShadowStackKind::kMprotect;
+  opts.kind = kind;
   passes::apply_shadow_stack(prog, opts);
   return prog.link();
 }
 
 TEST(RunLoop, BurstsMatchSingleStepsWhenEveryCallTraps) {
+  // The mprotect shadow stack makes two syscalls per call, so nearly every
+  // burst ends in a trap.
   for (const sim::MachineConfig& config : burst_configs()) {
-    expect_bursts_match_single_steps({mprotect_qsort()}, config);
+    expect_bursts_match_single_steps(
+        {qsort_under(passes::ShadowStackKind::kMprotect)}, config);
   }
 }
 
 TEST(RunLoop, HostExceptionInsideABurstKeepsItsRetiredSteps) {
   // The exception kills the only process, so the run-loop state the steps
-  // before it left is what the final snapshot holds.
+  // before it left is what the final snapshot holds. SealPK-RD+WR is the
+  // image with user-mode WRPKRs (two per call).
   for (const sim::MachineConfig& config : burst_configs()) {
-    expect_bursts_match_single_steps({mprotect_qsort()}, config,
-                                     /*throw_at=*/9'000);
+    expect_bursts_match_single_steps(
+        {qsort_under(passes::ShadowStackKind::kSealPkRdWr)}, config,
+        /*throw_at=*/9'000);
   }
 }
 
@@ -402,6 +411,53 @@ TEST(MachineStats, KernelCountsSyscalls) {
   EXPECT_EQ(stats.syscall_counts.at(os::sys::kReport), 3u);
   EXPECT_EQ(stats.syscall_counts.at(os::sys::kExit), 1u);
   EXPECT_GE(stats.syscalls, 4u);
+}
+
+TEST(Stats, CollectsCoherentCounters) {
+  auto prog = make_main_program([](Program& p, Function& f) {
+    rt::add_pkey_lib(p);
+    f.li(a0, 0);
+    f.li(a1, 4096);
+    f.li(a2, 3);
+    rt::syscall(f, os::sys::kMmap);
+    f.mv(s0, a0);
+    f.li(a0, 0);
+    f.li(a1, 0);
+    rt::syscall(f, os::sys::kPkeyAlloc);
+    f.mv(a1, zero);
+    f.mv(a1, a0);
+    f.mv(a0, s0);
+    f.mv(a3, a1);
+    f.mv(a0, s0);
+    f.li(a1, 4096);
+    f.li(a2, 3);
+    rt::syscall(f, os::sys::kPkeyMprotect);
+    f.ld(t0, 0, s0);
+    f.sd(t0, 0, s0);
+    f.li(a0, 5);
+    f.call("__pkey_get");
+    f.li(a0, 0);
+  });
+  sim::Machine machine{sim::MachineConfig{}};
+  machine.load(prog.link());
+  const auto outcome = machine.run();
+  ASSERT_TRUE(outcome.completed);
+  const auto stats = sim::collect_stats(machine);
+  EXPECT_EQ(stats.instructions, machine.hart().instret());
+  EXPECT_GT(stats.cycles, stats.instructions);
+  EXPECT_LT(stats.ipc(), 1.0);
+  EXPECT_GT(stats.loads, 0u);
+  EXPECT_GT(stats.stores, 0u);
+  EXPECT_GT(stats.calls, 0u);          // crt0's call + __pkey_get
+  EXPECT_GT(stats.syscalls, 3u);
+  EXPECT_GT(stats.rdpkr, 0u);          // __pkey_get uses RDPKR
+  EXPECT_GT(stats.dtlb.hits + stats.dtlb.misses, 0u);
+  EXPECT_GT(stats.pkr.perm_lookups, 0u);
+  EXPECT_GT(stats.dtlb_hit_rate(), 0.2);
+  std::ostringstream os;
+  sim::print_stats(stats, os);
+  EXPECT_NE(os.str().find("dtlb hit rate"), std::string::npos);
+  EXPECT_NE(os.str().find("instructions"), std::string::npos);
 }
 
 }  // namespace
