@@ -1,9 +1,6 @@
 #include "model/harness.h"
 
-#include <bitset>
-
 #include "common/check.h"
-#include "common/serial.h"
 #include "os/pkey_core.h"
 #include "os/syscall_abi.h"
 
@@ -74,30 +71,22 @@ void Harness::install(const ModelState& s) {
   snap.fifo_next = s.fifo_next;
   seal_.restore(snap);
 
-  // The key manager re-installs through its own snapshot port.
-  std::bitset<hw::kNumPkeys> alloc, dirty, sd, sp;
-  for (u32 k = 0; k < cfg_.num_pkeys; ++k) {
-    if (s.keys[k].allocated) alloc.set(k);
-    if (s.keys[k].dirty) dirty.set(k);
-    if (s.keys[k].sealed_domain) sd.set(k);
-    if (s.keys[k].sealed_page) sp.set(k);
-  }
-  ByteWriter w;
-  w.put_bitset(alloc);
-  w.put_bitset(dirty);
-  w.put_bitset(sd);
-  w.put_bitset(sp);
   for (u32 k = 0; k < hw::kNumPkeys; ++k) {
-    w.put_u64(k < cfg_.num_pkeys ? s.keys[k].pages : 0);
+    os::SealPkKeyManager::KeyRecord rec;
+    if (k < cfg_.num_pkeys) {
+      const KeyState& key = s.keys[k];
+      rec.allocated = key.allocated;
+      rec.dirty = key.dirty;
+      rec.sealed_domain = key.sealed_domain;
+      rec.sealed_page = key.sealed_page;
+      rec.pages = key.pages;
+      if (key.range != kNoRange) {
+        rec.perm_range = os::SealRange{kModelRanges[key.range].start,
+                                       kModelRanges[key.range].end};
+      }
+    }
+    keys_.set_key(k, rec);
   }
-  for (u32 k = 0; k < hw::kNumPkeys; ++k) {
-    const bool has = k < cfg_.num_pkeys && s.keys[k].range != kNoRange;
-    w.put_bool(has);
-    w.put_u64(has ? kModelRanges[s.keys[k].range].start : 0);
-    w.put_u64(has ? kModelRanges[s.keys[k].range].end : 0);
-  }
-  ByteReader r(w.buffer());
-  keys_.load_state(r);
 
   pages_ = s.pages;
 }

@@ -105,6 +105,16 @@ void Metrics::observe(const Event& e) {
     case EventKind::kQuarantine:
       ++quarantines_;
       break;
+    // Vault and vkey events feed the span layer (obs/span.h), not these
+    // counters.
+    case EventKind::kVaultIntent:
+    case EventKind::kVaultCommit:
+    case EventKind::kVaultUnseal:
+    case EventKind::kVaultDenied:
+    case EventKind::kVkeyMap:
+    case EventKind::kVkeyEvict:
+    case EventKind::kVkeySync:
+      break;
   }
 }
 

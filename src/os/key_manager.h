@@ -170,6 +170,29 @@ class SealPkKeyManager : public KeyManager {
     return perm_ranges_[pkey];
   }
 
+  // One key's complete bookkeeping.
+  struct KeyRecord {
+    bool allocated = false;
+    bool dirty = false;
+    bool sealed_domain = false;
+    bool sealed_page = false;
+    u64 pages = 0;
+    std::optional<SealRange> perm_range;
+  };
+
+  // Installs `rec` as key `pkey`'s state verbatim, bypassing every rule and
+  // hook: for callers that build a whole state from parts (the model
+  // checker's harness).
+  void set_key(u32 pkey, const KeyRecord& rec) {
+    SEALPK_CHECK(pkey < hw::kNumPkeys);
+    alloc_[pkey] = rec.allocated;
+    dirty_[pkey] = rec.dirty;
+    sealed_domain_[pkey] = rec.sealed_domain;
+    sealed_page_[pkey] = rec.sealed_page;
+    counter_[pkey] = rec.pages;
+    perm_ranges_[pkey] = rec.perm_range;
+  }
+
   void save_state(ByteWriter& w) const override {
     w.put_bitset(alloc_);
     w.put_bitset(dirty_);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "common/check.h"
 #include "core/hart.h"
 #include "fault/auditor.h"
 #include "fault/fault.h"
@@ -74,6 +75,43 @@ struct MachineConfig {
   obs::TraceConfig trace;
 };
 
+// Largest TLB a config may ask for. Each TLB is a vector of this many
+// slots, built before anything else is checked.
+inline constexpr size_t kMaxTlbEntries = 4096;
+
+// Throws CheckError when `config` describes no machine that can be built:
+// a DRAM size that is zero, not a page multiple or above mem::kMaxPhysBytes;
+// a TLB with 0 or more than kMaxTlbEntries entries; an unknown ISA flavor;
+// a main stack larger than DRAM; or more vkey MRU pin slots than there are
+// pkeys. Nothing is allocated first: the Machine constructor runs it before
+// its members, and snapshot::config_from before returning a decoded config.
+// Returns `config`.
+inline const MachineConfig& validate(const MachineConfig& config) {
+  SEALPK_CHECK_MSG(config.mem_bytes != 0 &&
+                       config.mem_bytes % mem::kPageSize == 0 &&
+                       config.mem_bytes <= mem::kMaxPhysBytes,
+                   "mem_bytes " << config.mem_bytes
+                                << " is not a nonzero page multiple of at most "
+                                << mem::kMaxPhysBytes);
+  for (const size_t entries :
+       {config.hart.dtlb_entries, config.hart.itlb_entries}) {
+    SEALPK_CHECK_MSG(entries != 0 && entries <= kMaxTlbEntries,
+                     "TLB of " << entries << " entries; the cap is "
+                               << kMaxTlbEntries);
+  }
+  SEALPK_CHECK_MSG(config.hart.flavor == core::IsaFlavor::kSealPk ||
+                       config.hart.flavor == core::IsaFlavor::kIntelMpkCompat,
+                   "unknown ISA flavor "
+                       << static_cast<unsigned>(config.hart.flavor));
+  SEALPK_CHECK_MSG(
+      config.kernel.stack_pages <= config.mem_bytes / mem::kPageSize,
+      "stack of " << config.kernel.stack_pages << " pages exceeds DRAM");
+  SEALPK_CHECK_MSG(config.kernel.vkey_mru_slots <= hw::kNumPkeys,
+                   config.kernel.vkey_mru_slots
+                       << " vkey MRU slots; the cap is " << hw::kNumPkeys);
+  return config;
+}
+
 struct RunOutcome {
   bool completed = false;  // every loaded process exited
   u64 instructions = 0;    // retired during this run() call
@@ -85,7 +123,7 @@ class Machine {
   static constexpr u64 kDefaultAuditInterval = 10'000;
 
   explicit Machine(const MachineConfig& config = {})
-      : config_(config),
+      : config_(validate(config)),
         mem_(config.mem_bytes),
         hart_(mem_, config.hart),
         kernel_(hart_, wired_kernel_config()) {

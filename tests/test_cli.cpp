@@ -258,6 +258,28 @@ TEST(CliArgsDeathTest, MalformedArgumentsExitTwoNamingFlagAndValue) {
       "^sealpk-x: unknown argument '--bogus'\n$");
 }
 
+TEST(CliArgsDeathTest, OnlyRefusesFlagsTheSubcommandDoesNotRead) {
+  const auto parse = [](std::initializer_list<std::string_view> takes) {
+    Argv av{"sealpk-x", "diff", "--json", "--json=v.json", "-q"};
+    cli::Args a("sealpk-x", av.argc(), av.argv());
+    bool json = false;
+    bool quiet = false;
+    std::string path;
+    while (a.next()) {
+      if (!a.json(&json, &path) && !a.flag("-q", &quiet) && !a.positional()) {
+        a.reject();
+      }
+    }
+    a.only("diff", takes);
+  };
+  parse({"--json", "--json=", "-q"});
+  // The bare and the valued form of a flag are told apart.
+  EXPECT_EXIT(parse({"--json=", "-q"}), ::testing::ExitedWithCode(2),
+              "^sealpk-x: diff does not take '--json'\n$");
+  EXPECT_EXIT(parse({"--json", "-q"}), ::testing::ExitedWithCode(2),
+              "^sealpk-x: diff does not take '--json=v.json'\n$");
+}
+
 TEST(CliFiles, WriteThenReadRoundTrips) {
   const std::string path = ::testing::TempDir() + "cli_round_trip.bin";
   const std::string bytes("line one\n\0binary tail", 21);

@@ -348,6 +348,36 @@ TEST(MultiProcess, FaultInOneProcessDoesNotKillTheOther) {
   EXPECT_EQ(machine.kernel().faults()[0].pid, pid_crash);
 }
 
+TEST(Machine, RejectsAConfigItCannotBuild) {
+  const auto rejects = [](const auto& edit) {
+    sim::MachineConfig config;
+    edit(config);
+    EXPECT_THROW(sim::Machine{config}, CheckError);
+  };
+  rejects([](sim::MachineConfig& c) { c.hart.dtlb_entries = 0; });
+  rejects([](sim::MachineConfig& c) {
+    c.hart.itlb_entries = sim::kMaxTlbEntries + 1;
+  });
+  rejects([](sim::MachineConfig& c) {
+    c.hart.flavor = static_cast<core::IsaFlavor>(7);
+  });
+  rejects([](sim::MachineConfig& c) { c.mem_bytes = mem::kPageSize + 1; });
+  rejects([](sim::MachineConfig& c) {
+    c.mem_bytes = 1024 * mem::kPageSize;
+    c.kernel.stack_pages = 1025;
+  });
+  rejects([](sim::MachineConfig& c) {
+    c.kernel.vkey_mru_slots = hw::kNumPkeys + 1;
+  });
+
+  sim::MachineConfig edges;
+  edges.hart.dtlb_entries = 1;
+  edges.hart.itlb_entries = sim::kMaxTlbEntries;
+  edges.hart.flavor = core::IsaFlavor::kIntelMpkCompat;
+  edges.kernel.vkey_mru_slots = hw::kNumPkeys;
+  EXPECT_NO_THROW(sim::Machine{edges});
+}
+
 TEST(Machine, ExitCodeSentinelForUnknownPid) {
   sim::Machine machine{sim::MachineConfig{}};
   EXPECT_FALSE(machine.has_process(1));

@@ -390,6 +390,30 @@ TEST(SnapshotValidation, RejectsBadMemBytesBeforeBuildingAMachine) {
   }
 }
 
+TEST(SnapshotValidation, RejectsHostileConfigFieldsBeforeBuildingAMachine) {
+  const std::vector<u8> golden = snapshot::read_file(
+      std::string(SEALPK_SOURCE_DIR) + "/tests/golden/qsort_mid.spksnap");
+  // CFG body: the u8 ISA flavor, the DTLB and ITLB sizes, 18 u64 timing
+  // costs, the save-PKR bool, then the stack size in pages.
+  const size_t dtlb_at = section_body(golden, "CFG ") + 1;
+  const size_t itlb_at = dtlb_at + 8;
+  const size_t stack_at = itlb_at + 8 + 18 * 8 + 1;
+  const sim::MachineConfig defaults;
+  ASSERT_EQ(get_u64_at(golden, dtlb_at), defaults.hart.dtlb_entries);
+  ASSERT_EQ(get_u64_at(golden, itlb_at), defaults.hart.itlb_entries);
+  ASSERT_EQ(get_u64_at(golden, stack_at), defaults.kernel.stack_pages);
+
+  // 2^60 entries or pages: a config that reached a Machine would try to
+  // allocate them.
+  for (const size_t at : {dtlb_at, itlb_at, stack_at}) {
+    SCOPED_TRACE(at);
+    std::vector<u8> bad = golden;
+    put_u64_at(bad, at, u64{1} << 60);
+    reseal(bad);
+    EXPECT_THROW(snapshot::config_from(bad), snapshot::SnapshotError);
+  }
+}
+
 TEST(SnapshotValidation, RejectsHugeCountBeforeAllocating) {
   sim::MachineConfig config;
   config.fault_plan.enabled = true;

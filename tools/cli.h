@@ -13,16 +13,19 @@
 // cannot be read or written.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
@@ -144,6 +147,9 @@ inline bool parse_fault_kinds(std::string_view text, u32* out) {
 //     if (a.positional()) names.push_back(a.arg());
 //     else a.reject();
 //   }
+//
+// A tool with subcommands keeps `a` past the loop and calls only() with the
+// flags the chosen subcommand reads.
 class Args {
  public:
   Args(const char* tool, int argc, char** argv, int first = 1)
@@ -162,6 +168,7 @@ class Args {
   bool flag(std::string_view name, bool* on) {
     if (!is(name)) return false;
     *on = true;
+    seen_.push_back({std::string(name), arg_});
     return true;
   }
 
@@ -178,6 +185,7 @@ class Args {
       fail("bad value for " + std::string(name) + ": '" + std::string(rest) +
            "'");
     }
+    seen_.push_back({std::string(name) + "=", arg_});
     return true;
   }
 
@@ -199,6 +207,17 @@ class Args {
     fail("unknown argument '" + arg_ + "'");
   }
 
+  // Exits 2 unless every flag matched so far is one that `command` takes,
+  // spelled "--x" for a switch and "--x=" for a valued flag.
+  void only(std::string_view command,
+            std::initializer_list<std::string_view> takes) const {
+    for (const auto& [spelling, arg] : seen_) {
+      if (std::find(takes.begin(), takes.end(), spelling) == takes.end()) {
+        fail(std::string(command) + " does not take '" + arg + "'");
+      }
+    }
+  }
+
  private:
   [[noreturn]] void fail(const std::string& message) const {
     std::fprintf(stderr, "%s: %s\n", tool_, message.c_str());
@@ -210,6 +229,8 @@ class Args {
   char** argv_;
   int next_;
   std::string arg_;
+  // Every matched flag: its spelling ("--x" or "--x=") and the argument.
+  std::vector<std::pair<std::string, std::string>> seen_;
 };
 
 // --chaos-seed/--chaos-rate/--cam-rate/--max-faults into a fault plan. Each

@@ -71,7 +71,8 @@ bool parse_mutation_flag(std::string_view text, Mutation* out) {
 
 void parse_cli(int argc, char** argv, CliOptions* cli) {
   ModelConfig& cfg = cli->cfg;
-  for (cli::Args a("sealpk-model", argc, argv, 2); a.next();) {
+  cli::Args a("sealpk-model", argc, argv, 2);
+  while (a.next()) {
     if (a.flag("-q", &cli->quiet) || a.flag("--quiet", &cli->quiet) ||
         a.flag("--selfcheck", &cli->selfcheck) ||
         a.json(&cli->json, &cli->json_path) ||
@@ -92,6 +93,17 @@ void parse_cli(int argc, char** argv, CliOptions* cli) {
     } else {
       a.reject();
     }
+  }
+  // explore reads every flag; the other subcommands read a few each.
+  const std::string_view cmd = argv[1];
+  if (cmd == "repro") {
+    a.only(cmd, {"-q", "--quiet"});
+  } else if (cmd == "stats") {
+    a.only(cmd, {"--pkeys=", "--pages=", "--cam=", "--threads=",
+                 "--mutation="});
+  } else if (cmd == "mutations") {
+    a.only(cmd, {"-q", "--quiet", "--pkeys=", "--pages=", "--cam=",
+                 "--depth=", "--max-states=", "--threads=", "--max-ce="});
   }
 }
 
@@ -298,12 +310,6 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   CliOptions cli;
   parse_cli(argc, argv, &cli);
-  if (cli.json && cmd != "explore") {
-    // Only explore writes JSON; accepting the flag elsewhere would report a
-    // file as written that never was.
-    std::fprintf(stderr, "sealpk-model: --json applies to explore only\n");
-    return 2;
-  }
   try {
     cli.cfg.validate();
     if (cmd == "explore") return cmd_explore(cli);

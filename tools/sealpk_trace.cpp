@@ -201,7 +201,8 @@ int cmd_diff(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (cli::Args a("sealpk-trace", argc, argv); a.next();) {
+  cli::Args a("sealpk-trace", argc, argv);
+  while (a.next()) {
     if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
         a.flag("--seal", &cli.perm_seal) ||
         a.flag("--timeline", &cli.timeline) ||
@@ -218,6 +219,18 @@ int main(int argc, char** argv) {
     } else {
       cli.positional.push_back(a.arg());
     }
+  }
+
+  if (cli.command == "record") {
+    a.only("record", {"-q", "--quiet", "--seal", "--ss=", "--out=",
+                      "--sample=", "--ring="});
+  } else if (cli.command == "report") {
+    a.only("report", {"-q", "--quiet", "--json", "--json="});
+  } else if (cli.command == "export") {
+    a.only("export",
+           {"-q", "--quiet", "--timeline", "--json=", "--collapsed="});
+  } else if (cli.command == "diff") {
+    a.only("diff", {"-q", "--quiet", "--json="});
   }
 
   const size_t nargs = cli.positional.size();

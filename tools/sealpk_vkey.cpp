@@ -26,9 +26,11 @@
 //   sealpk-vkey sweep --threads=4 --selfcheck --json=BENCH_keychurn.json
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli.h"
+#include "hw/pkr.h"
 #include "mpk/session.h"
 
 using namespace sealpk;
@@ -116,17 +118,25 @@ int mode_sweep(const CliOptions& cli) {
   return rc;
 }
 
+// --mru=<n>: at most one pin slot per pkey, the cap sim::validate puts on
+// every machine.
+bool parse_mru(std::string_view text, u32* out) {
+  return cli::parse(text, out) && *out <= hw::kNumPkeys;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
   mpk::SessionConfig& cfg = cli.cfg;
-  for (cli::Args a("sealpk-vkey", argc, argv); a.next();) {
+  cli::Args a("sealpk-vkey", argc, argv);
+  while (a.next()) {
     if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
         a.flag("--selfcheck", &cli.selfcheck) ||
         a.flag("--lazy", &cfg.lazy_sync) || a.flag("--raw", &cfg.raw) ||
         a.value("--sessions", &cfg.sessions) ||
-        a.value("--seed", &cfg.seed) || a.value("--mru", &cfg.mru_slots) ||
+        a.value("--seed", &cfg.seed) ||
+        a.value("--mru", &cfg.mru_slots, parse_mru) ||
         a.value("--max-instr", &cfg.max_instructions) ||
         a.value("--scales", &cli.scales) ||
         a.value("--threads", &cli.threads) ||
@@ -141,7 +151,15 @@ int main(int argc, char** argv) {
     if (!cli.mode.empty()) return usage();
     cli.mode = a.arg();
   }
-  if (cli.mode == "run") return mode_run(cli);
-  if (cli.mode == "sweep") return mode_sweep(cli);
+  if (cli.mode == "run") {
+    a.only("run", {"-q", "--quiet", "--lazy", "--raw", "--sessions=",
+                   "--ops=", "--seed=", "--mru=", "--max-instr="});
+    return mode_run(cli);
+  }
+  if (cli.mode == "sweep") {
+    a.only("sweep", {"-q", "--quiet", "--selfcheck", "--seed=", "--scales=",
+                     "--threads=", "--json="});
+    return mode_sweep(cli);
+  }
   return usage();
 }
