@@ -16,9 +16,6 @@
 //               the two properties that drive its Figure-5 bars
 //   --csv       emit a machine-readable CSV of the matrix on stdout
 //               (suite,benchmark,variant,overhead_pct) after the tables
-//
-// Every cell is checksum-verified against the workload's golden model; a
-// failed cell prints its verdict on stderr and the bench exits 1.
 #include <cstdio>
 #include <iterator>
 #include <optional>
@@ -33,26 +30,23 @@ namespace {
 
 constexpr size_t kCells = 1 + std::size(fleet::kFig5Variants);
 
-// `row` points at one workload's cells: the baseline, then the variants in
-// legend order.
-void print_row(const fleet::JobResult* row) {
-  std::printf("%-14s %12llu", row[0].workload->name,
-              static_cast<unsigned long long>(row[0].cycles));
-  for (size_t v = 1; v < kCells; ++v) {
-    std::printf(v >= 4 ? " %11.2f%%" : " %8.2f%%",
-                fleet::overhead_pct(row[v], row[0]));
-  }
-  std::printf("\n");
-}
-
 void print_suite(const std::vector<fleet::JobResult>& results,
                  wl::Suite suite) {
   std::printf("\n--- %s ---\n", wl::suite_name(suite));
   std::printf("%-14s %12s %9s %9s %9s %12s %12s\n", "benchmark",
               "base cycles", "Inline", "Func", "SealPK-WR", "SealPK-RD+WR",
               "mprotect");
+  // Each row: the baseline cell, then the variants in legend order.
   for (size_t i = 0; i < results.size(); i += kCells) {
-    if (results[i].workload->suite == suite) print_row(&results[i]);
+    const fleet::JobResult* row = &results[i];
+    if (row->workload->suite != suite) continue;
+    std::printf("%-14s %12llu", row->workload->name,
+                static_cast<unsigned long long>(row->cycles));
+    for (size_t v = 1; v < kCells; ++v) {
+      std::printf(v >= 4 ? " %11.2f%%" : " %8.2f%%",
+                  fleet::overhead_pct(row[v], row[0]));
+    }
+    std::printf("\n");
   }
   std::printf("%-14s %12s", "GMean", "");
   for (size_t v = 0; v < std::size(fleet::kFig5Variants); ++v) {

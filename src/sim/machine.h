@@ -75,17 +75,11 @@ struct MachineConfig {
   obs::TraceConfig trace;
 };
 
-// Largest TLB a config may ask for. Each TLB is a vector of this many
-// slots, built before anything else is checked.
 inline constexpr size_t kMaxTlbEntries = 4096;
 
-// Throws CheckError when `config` describes no machine that can be built:
-// a DRAM size that is zero, not a page multiple or above mem::kMaxPhysBytes;
-// a TLB with 0 or more than kMaxTlbEntries entries; an unknown ISA flavor;
-// a main stack larger than DRAM; or more vkey MRU pin slots than there are
-// pkeys. Nothing is allocated first: the Machine constructor runs it before
-// its members, and snapshot::config_from before returning a decoded config.
-// Returns `config`.
+// Returns `config`, or throws CheckError when it sizes something no machine
+// can be built with. Runs before anything is allocated: in the Machine
+// constructor ahead of its members, and in snapshot::config_from.
 inline const MachineConfig& validate(const MachineConfig& config) {
   SEALPK_CHECK_MSG(config.mem_bytes != 0 &&
                        config.mem_bytes % mem::kPageSize == 0 &&

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "fleet/engine.h"
 #include "fleet/report.h"
@@ -310,15 +311,12 @@ TEST(Fleet, SuiteGeomeansMatchTheFig5Math) {
                    0.01);
   // -1 when a suite has no completed pair: SPEC2000's only baseline
   // failed, SPEC2006 was not run, and the Func variant was not run.
-  EXPECT_EQ(fleet::gmean_overhead(results, wl::Suite::kSpec2000,
-                                  ShadowStackKind::kMprotect),
-            -1.0);
-  EXPECT_EQ(fleet::gmean_overhead(results, wl::Suite::kSpec2006,
-                                  ShadowStackKind::kMprotect),
-            -1.0);
-  EXPECT_EQ(fleet::gmean_overhead(results, wl::Suite::kMiBench,
-                                  ShadowStackKind::kFunc),
-            -1.0);
+  for (const auto& [suite, ss] :
+       {std::pair{wl::Suite::kSpec2000, ShadowStackKind::kMprotect},
+        std::pair{wl::Suite::kSpec2006, ShadowStackKind::kMprotect},
+        std::pair{wl::Suite::kMiBench, ShadowStackKind::kFunc}}) {
+    EXPECT_EQ(fleet::gmean_overhead(results, suite, ss), -1.0);
+  }
   // The headline needs both gmeans in every suite.
   EXPECT_EQ(fleet::mprotect_speedup(results), -1.0);
 }
