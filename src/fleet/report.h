@@ -33,14 +33,16 @@ struct Aggregate {
 
 Aggregate aggregate(const std::vector<JobResult>& results);
 
-// The Figure-5 matrix: every workload x (the kNone baseline + the five
-// kFig5Variants), in figure order, ids dense from 0. `scale` overrides each
-// workload's bench_scale.
+// The Figure-5 variants, in legend order.
 inline constexpr passes::ShadowStackKind kFig5Variants[] = {
     passes::ShadowStackKind::kInline,     passes::ShadowStackKind::kFunc,
     passes::ShadowStackKind::kSealPkWr,   passes::ShadowStackKind::kSealPkRdWr,
     passes::ShadowStackKind::kMprotect,
 };
+
+// The Figure-5 matrix: for every workload, its kNone baseline job followed
+// by one job per kFig5Variants entry, ids dense from 0. `scale` overrides
+// each workload's bench_scale.
 std::vector<JobSpec> fig5_specs(std::optional<u64> scale = std::nullopt);
 
 // Cycle overhead of `variant` over `baseline`, in percent.

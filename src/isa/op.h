@@ -151,23 +151,8 @@ constexpr u8 kCustom0Opcode = 0x0B;
 // decoder from the op table.
 Op custom0_op(u32 funct3, u32 funct7);
 
-// --- classification helpers (shared by the decoder, the tracer and the ---
-// --- static verifier in src/analysis/) -----------------------------------
-constexpr bool is_custom0(Op op) {
-  switch (op) {
-    case Op::kRdpkr:
-    case Op::kWrpkr:
-    case Op::kSealStart:
-    case Op::kSealEnd:
-    case Op::kSpkRange:
-    case Op::kSpkSeal:
-    case Op::kWrpkru:
-    case Op::kRdpkru:
-      return true;
-    default:
-      return false;
-  }
-}
+// --- classification helpers (shared by the static verifier in ------------
+// --- src/analysis/ and the model checker in src/model/) ------------------
 
 // Instructions that (attempt to) rewrite pkey permissions — the gadget class
 // ERIM-style binary inspection must confine to trusted call gates.
