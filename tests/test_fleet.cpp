@@ -267,7 +267,7 @@ TEST(Fleet, CellResultsMatchTheSerialReference) {
   }
 }
 
-// A completed kRun result with only the fields the geomean reads.
+// A kRun result carrying only the fields the geomean reads.
 fleet::JobResult cell(const wl::Workload& w, passes::ShadowStackKind ss,
                       u64 cycles, bool ok = true) {
   fleet::JobResult r;
