@@ -38,14 +38,10 @@ class ByteWriter {
     buf_.insert(buf_.end(), data, data + len);
   }
 
-  // Length-prefixed string / byte vector.
+  // Length-prefixed string.
   void put_str(const std::string& s) {
     put_u64(s.size());
     put_bytes(reinterpret_cast<const u8*>(s.data()), s.size());
-  }
-  void put_blob(const std::vector<u8>& v) {
-    put_u64(v.size());
-    put_bytes(v.data(), v.size());
   }
 
   template <size_t N>
@@ -108,13 +104,6 @@ class ByteReader {
                   static_cast<size_t>(len));
     pos_ += static_cast<size_t>(len);
     return s;
-  }
-  std::vector<u8> get_blob() {
-    const u64 len = get_u64();
-    need(len);
-    std::vector<u8> v(data_ + pos_, data_ + pos_ + len);
-    pos_ += static_cast<size_t>(len);
-    return v;
   }
 
   // An element count for a following sequence whose elements take at least

@@ -1,5 +1,7 @@
 #include "core/hart.h"
 
+#include <cstring>
+
 namespace sealpk::core {
 
 using isa::Inst;
@@ -250,7 +252,26 @@ Hart::MemOutcome Hart::translate_data(u64 vaddr, mem::Access access) {
   return out;
 }
 
-bool Hart::fetch(u32* word) {
+const Inst* Hart::fetch() {
+  FetchPage& page = fetch_page_;
+  // Masking out bits 2..11 keeps the misalignment bits, so a misaligned pc
+  // never matches a page base and takes the slow path, which raises.
+  if ((pc_ & ~(mem::kPageSize - 4)) == page.base && csrs_.satp == page.satp &&
+      priv_ == page.priv && itlb_.epoch() == page.itlb_epoch &&
+      mem_.layout_epoch() == page.layout_epoch) {
+    if (page.paged) itlb_.credit_hit();
+  } else if (!refill_fetch_page()) {
+    return nullptr;
+  }
+  const u64 offset = pc_ % mem::kPageSize;
+  u32 word;
+  std::memcpy(&word, page.bytes + offset, sizeof(word));
+  Inst& slot = page.slots[offset / 4];
+  if (slot.raw != word) slot = isa::decode(word);
+  return &slot;
+}
+
+bool Hart::refill_fetch_page() {
   if ((pc_ & 3) != 0) {
     raise(TrapCause::kInstAddrMisaligned, pc_);
     return false;
@@ -260,7 +281,17 @@ bool Hart::fetch(u32* word) {
     raise(out.cause, out.tval);
     return false;
   }
-  *word = mem_.read_u32(out.paddr);
+  auto& decoded =
+      decoded_pages_[(out.paddr >> mem::kPageShift) % kDecodedPages];
+  if (decoded == nullptr) decoded = std::make_unique<DecodedPage>();
+  fetch_page_ = {.base = pc_ & ~(mem::kPageSize - 1),
+                 .satp = csrs_.satp,
+                 .priv = priv_,
+                 .itlb_epoch = itlb_.epoch(),
+                 .layout_epoch = mem_.layout_epoch(),
+                 .paged = paging_levels() != 0,
+                 .bytes = mem_.page_data(out.paddr),
+                 .slots = decoded->data()};
   return true;
 }
 
@@ -326,13 +357,11 @@ StepResult Hart::run(u64 max_steps) {
     next_pc_ = pc_ + 4;
     cycles_ += config_.timing.base_cycles;
 
-    u32 word = 0;
-    if (fetch(&word)) {
-      const Inst inst = isa::decode_cached(word);
-      if (inst.op == Op::kIllegal) {
-        raise(TrapCause::kIllegalInst, word);
+    if (const Inst* inst = fetch()) {
+      if (inst->op == Op::kIllegal) {
+        raise(TrapCause::kIllegalInst, inst->raw);
       } else {
-        exec(inst);
+        exec(*inst);
       }
     }
 

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "core/csr.h"
@@ -149,7 +150,11 @@ class Hart {
   bool data_access_allowed(const mem::TlbEntry& entry, mem::Access access,
                            bool* pkey_denied);
 
-  bool fetch(u32* word);
+  // The decoded instruction at pc_, or null after raising its fetch trap.
+  const isa::Inst* fetch();
+  // The slow path of fetch(): translates pc_ as translate_fetch does and
+  // points fetch_page_ at the page it lands in.
+  bool refill_fetch_page();
   bool mem_load(u64 vaddr, unsigned size, bool sign_extend, u64* value);
   bool mem_store(u64 vaddr, unsigned size, u64 value);
   bool exec(const isa::Inst& inst);         // returns false if trapped
@@ -168,6 +173,33 @@ class Hart {
   hw::Pkru pkru_;
   mem::Tlb dtlb_;
   mem::Tlb itlb_;
+
+  // The code page of the last fetch. A fetch whose pc is word-aligned and
+  // lies in `base`'s page reuses the translation while the other four tag
+  // fields still match, so it costs one ITLB hit credit, a 4-byte load and
+  // a slot lookup. satp and priv are compared, not hooked, so direct CSR
+  // writes, set_priv and snapshot restore need no call; the two epochs
+  // cover every ITLB change and every page that appears or goes away.
+  struct FetchPage {
+    u64 base = ~u64{0};  // page base address; ~0 matches no pc
+    u64 satp = 0;
+    Priv priv = Priv::kSupervisor;
+    u64 itlb_epoch = 0;
+    u64 layout_epoch = 0;
+    bool paged = false;           // the translation went through the ITLB
+    const u8* bytes = nullptr;    // mem_.page_data() of the page
+    isa::Inst* slots = nullptr;   // its decoded page
+  };
+  FetchPage fetch_page_;
+
+  // Decoded pages, indexed by ppn mod kDecodedPages and allocated on first
+  // fetch. A slot holds decode(slot.raw), and fetch re-decodes whenever
+  // the word in memory differs, so stores (self-modifying code, the
+  // loader) and pages that share an index need no invalidation. A
+  // value-initialised slot holds Inst{}, which is decode(0).
+  static constexpr size_t kDecodedPages = 16;
+  using DecodedPage = std::array<isa::Inst, mem::kPageSize / 4>;
+  std::array<std::unique_ptr<DecodedPage>, kDecodedPages> decoded_pages_;
   u64 cycles_ = 0;
   u64 instret_ = 0;
   HartStats stats_;

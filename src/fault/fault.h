@@ -132,7 +132,6 @@ class FaultInjector {
   // checkpoint, with n = events injected since that checkpoint, so the
   // re-execution replays the doomed window fault-free.
   void suppress(u64 n) { suppress_ += n; }
-  u64 suppressed_pending() const { return suppress_; }
   // Lifetime firings across every rollback attempt. NOT restored by
   // load_state (a rollback must not refill the max_faults budget, or an
   // aggressive plan could fire faults forever across retries).

@@ -1,7 +1,5 @@
 #include "isa/inst.h"
 
-#include <array>
-
 namespace sealpk::isa {
 
 namespace {
@@ -270,18 +268,6 @@ Inst decode(u32 raw) {
       break;
   }
   return inst;
-}
-
-namespace {
-
-thread_local std::array<Inst, kDecodeTableSlots> decode_table{};
-
-}  // namespace
-
-Inst decode_cached(u32 raw) {
-  Inst& slot = decode_table[decode_table_slot(raw)];
-  if (slot.raw != raw) slot = decode(raw);
-  return slot;
 }
 
 }  // namespace sealpk::isa

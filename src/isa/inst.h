@@ -64,23 +64,10 @@ struct Inst {
 // operand does not fit the format (assembler bug in the caller).
 u32 encode(const Inst& inst);
 
-// Decodes a 32-bit word; unknown encodings yield op == kIllegal.
+// Decodes a 32-bit word; unknown encodings yield op == kIllegal. The result
+// keeps the word in `raw`, and Inst{} is decode(0): the hart's decoded
+// pages tag each slot by its word on that basis.
 Inst decode(u32 raw);
-
-// decode() through a direct-mapped table of decoded words, one table per
-// host thread (so machines never share it and building one costs nothing).
-// decode is a pure function of the word, so a slot is valid exactly when
-// its `raw` equals the word: the table needs no invalidation, and code that
-// rewrites itself simply fetches a different word. A value-initialised slot
-// holds Inst{}, which is decode(0).
-inline constexpr size_t kDecodeTableSlots = 4096;
-inline size_t decode_table_slot(u32 raw) {
-  // Fibonacci hashing: the top 12 bits of the product mix every field of
-  // the word, where the low bits alone are mostly opcode and rd.
-  static_assert(kDecodeTableSlots == size_t{1} << 12);
-  return (raw * 0x9E3779B1u) >> 20;
-}
-Inst decode_cached(u32 raw);
 
 // Human-readable rendering, e.g. "addi a0, sp, -16".
 std::string disassemble(const Inst& inst);

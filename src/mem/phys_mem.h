@@ -90,6 +90,15 @@ class PhysMem {
 
   size_t materialized_pages() const { return materialized_; }
 
+  // The host bytes of the page holding `addr`: a shared zero page while the
+  // page was never written. The pointer stays valid, and keeps showing the
+  // page's current contents, until layout_epoch() moves.
+  const u8* page_data(u64 addr) const { return page_at(addr).data(); }
+
+  // Moves whenever a page's host storage appears (its first write) or goes
+  // away (load_state).
+  u64 layout_epoch() const { return layout_epoch_; }
+
   // Snapshot port. Pages are emitted in ascending index order and all-zero
   // pages are elided, so the encoding is canonical: two memories with equal
   // contents produce byte-identical streams regardless of materialisation
@@ -114,6 +123,7 @@ class PhysMem {
                                         << size << ", machine has " << size_);
     pages_.clear();
     materialized_ = 0;
+    ++layout_epoch_;
     const u64 count = r.get_u64();
     for (u64 i = 0; i < count; ++i) {
       const u64 index = r.get_u64();
@@ -161,6 +171,7 @@ class PhysMem {
     if (slot == nullptr) {
       slot = std::make_unique<Page>();
       ++materialized_;
+      ++layout_epoch_;
     }
     return *slot;
   }
@@ -216,6 +227,7 @@ class PhysMem {
   u64 size_;
   std::vector<std::unique_ptr<Page>> pages_;  // up to the highest page written
   size_t materialized_ = 0;
+  u64 layout_epoch_ = 0;
 };
 
 }  // namespace sealpk::mem

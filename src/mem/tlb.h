@@ -51,6 +51,16 @@ class Tlb {
     return std::nullopt;
   }
 
+  // Counts a hit for a lookup the caller answered itself. The hart's
+  // fetch path serves a repeat of its last translation this way: while
+  // epoch() is unchanged, lookup() of that vpn would hit the same entry,
+  // and a hit changes no replacement state, so the counters stay exact.
+  void credit_hit() { ++stats_.hits; }
+
+  // Moves on every change to the slots (insert, flush, flush_vpn,
+  // corrupt_slot, load_state) and on nothing else.
+  u64 epoch() const { return epoch_; }
+
   // Peek without touching statistics (used by tests and debug dumps).
   std::optional<TlbEntry> peek(u64 vpn) const {
     for (const auto& slot : entries_) {
@@ -63,6 +73,7 @@ class Tlb {
   // otherwise evicts round-robin (Rocket's TLB uses a pseudo-random/rr
   // policy; round-robin keeps the model deterministic).
   void insert(const TlbEntry& entry) {
+    ++epoch_;
     for (auto& slot : entries_) {
       if (slot.valid && slot.entry.vpn == entry.vpn) {
         slot.entry = entry;
@@ -82,12 +93,14 @@ class Tlb {
 
   // sfence.vma with rs1 = x0: global flush.
   void flush() {
+    ++epoch_;
     for (auto& slot : entries_) slot.valid = false;
     ++stats_.flushes;
   }
 
   // sfence.vma with rs1 != x0: single-VPN invalidation.
   void flush_vpn(u64 vpn) {
+    ++epoch_;
     for (auto& slot : entries_) {
       if (slot.valid && slot.entry.vpn == vpn) slot.valid = false;
     }
@@ -115,6 +128,7 @@ class Tlb {
   bool corrupt_slot(size_t i, u16 pkey_xor, u8 perm_xor, bool flip_dirty) {
     SEALPK_CHECK(i < entries_.size());
     if (!entries_[i].valid) return false;
+    ++epoch_;
     TlbEntry& e = entries_[i].entry;
     e.pkey ^= pkey_xor;
     if (perm_xor & 1) e.r = !e.r;
@@ -150,6 +164,7 @@ class Tlb {
     w.put_u64(stats_.evictions);
   }
   void load_state(ByteReader& r) {
+    ++epoch_;
     const u64 n = r.get_u64();
     SEALPK_CHECK_MSG(n == entries_.size(),
                      "TLB capacity mismatch: snapshot has "
@@ -185,6 +200,7 @@ class Tlb {
   std::vector<Slot> entries_;
   size_t next_victim_ = 0;
   TlbStats stats_;
+  u64 epoch_ = 0;
 };
 
 }  // namespace sealpk::mem

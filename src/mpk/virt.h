@@ -46,8 +46,6 @@ class KeyVirtualizer {
     return domains_.size() - 1;
   }
 
-  u64 domain_count() const { return domains_.size(); }
-
   // Models one permission update on `domain` (the pkey_set / WRPKRU the
   // application performs). Returns the modelled cycle cost of this use.
   u64 use(u64 domain) {

@@ -101,7 +101,6 @@ class AddressSpace {
  private:
   u64 pte_slot_addr(u64 vaddr, bool create);  // phys addr of leaf PTE slot
   u64 lookup_pte_slot(u64 vaddr) const;       // 0 if tables absent
-  void write_leaf(u64 vaddr, u64 pte);
   // Splits any VMA straddling `addr` so that `addr` becomes a boundary.
   void split_at(u64 addr);
   bool range_fully_mapped(u64 addr, u64 len) const;

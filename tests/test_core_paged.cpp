@@ -1,6 +1,6 @@
 // Paged-mode hart tests: the Figure-2 effective-permission control logic
-// (PTE perms ∩ pkey perms), the spkinfo fault augmentation, and TLB/pkey
-// interactions.
+// (PTE perms ∩ pkey perms), the spkinfo fault augmentation, TLB/pkey
+// interactions, and the fetch path's cached code page.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -267,6 +267,164 @@ TEST_F(PagedFixture, TranslateDebugMatchesWalk) {
   EXPECT_EQ(*pa, (kDataPpn << mem::kPageShift) + 0x123);
   EXPECT_FALSE(
       hart_.translate_debug(0x5000'0000, mem::Access::kLoad).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// The fetch path. A fetch served from the hart's cached code page must
+// behave exactly as translate_fetch, a read of memory and decode would,
+// ITLB counters included, whatever changed since the page was cached.
+// ---------------------------------------------------------------------------
+
+Inst li_a0(i64 value) {
+  return Inst{.op = Op::kAddi, .rd = isa::a0, .rs1 = 0, .imm = value};
+}
+
+TEST_F(PagedFixture, SatpSwitchRunsTheNewSpaceOnlyAfterTheKernelsSfence) {
+  // Space B maps the same code vpn to another frame holding other code.
+  constexpr u64 kRootB = 0x60, kCodePpnB = 0x81;
+  const u64 root_a = root_;
+  root_ = kRootB;
+  map(kCodeVa, kCodePpnB,
+      mem::pte::kV | mem::pte::kR | mem::pte::kX | mem::pte::kU);
+  root_ = root_a;
+  mem_.write_u32(kCodePpnB << mem::kPageShift, isa::encode(li_a0(2)));
+  place({li_a0(1)});
+
+  const mem::TlbStats& itlb = hart_.itlb().stats();
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);  // ITLB miss
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);  // served from the page
+  EXPECT_EQ(hart_.reg(isa::a0), 1u);
+  EXPECT_EQ(itlb.misses, 1u);
+  EXPECT_EQ(itlb.hits, 1u);
+
+  // The kernel's direct satp write, without its sfence: the stale ITLB
+  // entry still answers, and counts as a hit.
+  hart_.csrs().satp = csr::kSatpModeSv39 | kRootB;
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 1u);
+  EXPECT_EQ(itlb.misses, 1u);
+  EXPECT_EQ(itlb.hits, 2u);
+
+  // With the sfence, space B's code runs.
+  hart_.flush_tlbs();
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 2u);
+  EXPECT_EQ(itlb.misses, 2u);
+  EXPECT_EQ(itlb.hits, 2u);
+}
+
+TEST_F(PagedFixture, BareSatpOrSupervisorModeFetchesPhysically) {
+  // Physical kCodeVa is a different frame from kCodePpn.
+  mem_.write_u32(kCodeVa, isa::encode(li_a0(3)));
+  place({li_a0(1)});
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  const u64 hits = hart_.itlb().stats().hits;
+  const u64 misses = hart_.itlb().stats().misses;
+
+  const u64 sv39 = hart_.csrs().satp;
+  hart_.csrs().satp = 0;  // bare, still in U-mode
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 3u);
+
+  hart_.csrs().satp = sv39;  // back to the page the ITLB still holds
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 1u);
+
+  hart_.set_priv(Priv::kSupervisor);  // S-mode does not translate
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 3u);
+  EXPECT_EQ(hart_.itlb().stats().hits, hits + 1);
+  EXPECT_EQ(hart_.itlb().stats().misses, misses);
+}
+
+TEST_F(PagedFixture, ItlbChangesReachTheNextFetch) {
+  constexpr u64 kOtherPpn = 0x82;
+  mem_.write_u32(kOtherPpn << mem::kPageShift, isa::encode(li_a0(4)));
+  place({li_a0(1)});
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+
+  // Remapped in the page table: the ITLB entry stands until its sfence.vma.
+  map(kCodeVa, kOtherPpn,
+      mem::pte::kV | mem::pte::kR | mem::pte::kX | mem::pte::kU);
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 1u);
+  hart_.itlb().flush_vpn(mem::sv39::vpn_of(kCodeVa));
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 4u);
+
+  // A soft error that clears the entry's X bit faults the next fetch.
+  for (size_t i = 0; i < hart_.itlb().capacity(); ++i) {
+    const mem::TlbEntry* e = hart_.itlb().peek_slot(i);
+    if (e != nullptr && e->vpn == mem::sv39::vpn_of(kCodeVa)) {
+      ASSERT_TRUE(hart_.itlb().corrupt_slot(i, 0, /*perm_xor=*/4, false));
+    }
+  }
+  hart_.set_pc(kCodeVa);
+  EXPECT_EQ(hart_.step().cause, TrapCause::kInstPageFault);
+}
+
+TEST_F(PagedFixture, MisalignedPcInTheCachedPageTraps) {
+  place({li_a0(1), li_a0(2)});
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  hart_.set_pc(kCodeVa + 6);
+  EXPECT_EQ(hart_.step().cause, TrapCause::kInstAddrMisaligned);
+  EXPECT_EQ(hart_.csrs().stval, kCodeVa + 6);
+}
+
+// A bare S-mode hart: fetches are physical and trap to stvec = 0 without
+// leaving S-mode, so only memory itself changes between these fetches.
+class BareFetch : public ::testing::Test {
+ protected:
+  static constexpr u64 kCode = 0x1000;
+
+  BareFetch() : mem_(1 << 20), hart_(mem_) {}
+
+  void place(u64 at, const std::vector<Inst>& insts) {
+    for (size_t i = 0; i < insts.size(); ++i) {
+      mem_.write_u32(at + 4 * i, isa::encode(insts[i]));
+    }
+  }
+
+  mem::PhysMem mem_;
+  Hart hart_;
+};
+
+TEST_F(BareFetch, StoreOverExecutedCodeRunsTheNewWord) {
+  place(kCode, {Inst{.op = Op::kAddi, .rd = isa::a0, .rs1 = isa::a0, .imm = 1},
+                Inst{.op = Op::kSw, .rs1 = isa::a1, .rs2 = isa::a2},
+                Inst{.op = Op::kJal, .rd = 0, .imm = -8}});
+  hart_.set_reg(isa::a1, kCode);
+  hart_.set_reg(isa::a2, isa::encode(Inst{.op = Op::kAddi,
+                                          .rd = isa::a0,
+                                          .rs1 = isa::a0,
+                                          .imm = 100}));
+  hart_.set_pc(kCode);
+  ASSERT_EQ(hart_.run(3).kind, StepKind::kOk);  // addi, sw over it, j back
+  EXPECT_EQ(hart_.reg(isa::a0), 1u);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 101u);
+}
+
+TEST_F(BareFetch, NeverWrittenPageTrapsUntilItIsWritten) {
+  constexpr u64 kFresh = 0x3000;
+  hart_.set_pc(kFresh);
+  const StepResult r = hart_.step();
+  ASSERT_EQ(r.kind, StepKind::kTrap);
+  EXPECT_EQ(r.cause, TrapCause::kIllegalInst);
+  EXPECT_EQ(hart_.csrs().stval, 0u);  // the word read was zero
+
+  place(kFresh, {li_a0(5)});
+  hart_.set_pc(kFresh);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a0), 5u);
 }
 
 // MPK-flavour paged behaviour: 4-bit keys and PKRU checks.

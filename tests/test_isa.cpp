@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "common/check.h"
 #include "common/rng.h"
 #include "isa/inst.h"
@@ -106,76 +104,33 @@ INSTANTIATE_TEST_SUITE_P(
 // Decoder details.
 // ---------------------------------------------------------------------------
 
-// decode_cached must be indistinguishable from decode: whatever a slot held
-// before, including a word that shares the slot, and on any host thread.
-TEST(DecodeTable, ValueInitialisedSlotIsDecodeOfZero) {
+// The hart's decoded pages (src/core/hart.h) tag each slot by its word and
+// start from value-initialised slots; both rest on these properties.
+TEST(Decode, ValueInitialisedInstIsDecodeOfZero) {
   EXPECT_EQ(Inst{}, decode(0));
-  EXPECT_EQ(decode_cached(0), decode(0));
 }
 
-TEST(DecodeTable, MatchesDecodeOnRandomWords) {
+TEST(Decode, KeepsTheWordOfRandomWords) {
   Rng rng(0xDEC0DE);
   for (int i = 0; i < 1'000'000; ++i) {
     const u32 word = static_cast<u32>(rng.next());
-    ASSERT_EQ(decode_cached(word), decode(word)) << std::hex << word;
+    const Inst inst = decode(word);
+    ASSERT_EQ(inst.raw, word);
+    ASSERT_EQ(decode(word), inst) << std::hex << word;
   }
 }
 
-TEST(DecodeTable, MatchesDecodeOnEveryEncodedOp) {
+TEST(Decode, KeepsTheWordOfEveryEncodedOp) {
   Rng rng(41);
   for (unsigned idx = 0; idx < static_cast<unsigned>(Op::kIllegal); ++idx) {
     const Op op = static_cast<Op>(idx);
     for (int trial = 0; trial < 20; ++trial) {
       const u32 word = encode(random_inst(op, rng));
-      ASSERT_EQ(decode_cached(word), decode(word))
-          << op_info(op).name << " 0x" << std::hex << word;
-      ASSERT_EQ(decode_cached(word).op, op) << op_info(op).name;
+      const Inst inst = decode(word);
+      ASSERT_EQ(inst.raw, word) << op_info(op).name;
+      ASSERT_EQ(inst.op, op) << op_info(op).name << " 0x" << std::hex << word;
     }
   }
-}
-
-TEST(DecodeTable, AlternatingWordsThatShareASlot) {
-  Rng rng(77);
-  size_t pairs = 0;
-  while (pairs < 64) {
-    const Inst a_inst = random_inst(
-        static_cast<Op>(rng.below(static_cast<unsigned>(Op::kIllegal))), rng);
-    const u32 a = encode(a_inst);
-    // Search upwards for another word in the same slot.
-    u32 b = a + 1;
-    while (decode_table_slot(b) != decode_table_slot(a)) ++b;
-    ++pairs;
-    for (int round = 0; round < 8; ++round) {
-      ASSERT_EQ(decode_cached(a), decode(a)) << std::hex << a << " " << b;
-      ASSERT_EQ(decode_cached(b), decode(b)) << std::hex << a << " " << b;
-    }
-  }
-  // Word 0 shares its slot too; its value-initialised entry must not
-  // answer for the other word.
-  u32 z = 1;
-  while (decode_table_slot(z) != decode_table_slot(0)) ++z;
-  EXPECT_EQ(decode_cached(z), decode(z));
-  EXPECT_EQ(decode_cached(0), decode(0));
-}
-
-TEST(DecodeTable, EachHostThreadDecodesCorrectly) {
-  auto worker = [](u64 seed, bool* ok) {
-    Rng rng(seed);
-    *ok = true;
-    for (int i = 0; i < 200'000; ++i) {
-      // Half of the words repeat, so slots are hit as well as refilled.
-      const u32 word = static_cast<u32>(rng.below(2) ? rng.below(512)
-                                                     : rng.next());
-      if (decode_cached(word) != decode(word)) *ok = false;
-    }
-  };
-  bool ok_a = false, ok_b = false;
-  std::thread a(worker, 1, &ok_a);
-  std::thread b(worker, 2, &ok_b);
-  a.join();
-  b.join();
-  EXPECT_TRUE(ok_a);
-  EXPECT_TRUE(ok_b);
 }
 
 TEST(Decode, IllegalWordsNormalise) {

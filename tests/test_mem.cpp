@@ -268,6 +268,46 @@ TEST(PhysMem, PagesAboveTheHighestWrittenOneReadZero) {
   EXPECT_EQ(saved(mem), high);
 }
 
+// The hart keeps host pointers into pages while layout_epoch() stands
+// still, so it must move whenever a page's storage appears or goes away,
+// and only then.
+TEST(PhysMem, LayoutEpochMovesWhenPageStorageAppearsOrGoesAway) {
+  PhysMem mem(1 << 20);
+  u64 epoch = mem.layout_epoch();
+  auto moved = [&] {
+    const bool changed = mem.layout_epoch() != epoch;
+    epoch = mem.layout_epoch();
+    return changed;
+  };
+  mem.fill(4 * kPageSize, 0, kPageSize);  // zero fill of an unwritten page
+  EXPECT_FALSE(moved());
+  EXPECT_EQ(mem.read_u32(4 * kPageSize), 0u);
+  EXPECT_FALSE(moved());
+
+  const u8* zero = mem.page_data(4 * kPageSize);
+  mem.write_u32(4 * kPageSize + 8, 0x1234);  // first write to the page
+  EXPECT_TRUE(moved());
+  const u8* page = mem.page_data(4 * kPageSize);
+  EXPECT_NE(page, zero);
+  EXPECT_EQ(page[8], 0x34);
+
+  mem.write_u64(4 * kPageSize + 16, 7);  // the page already exists
+  mem.fill(4 * kPageSize, 0xAB, 4);
+  mem.fill(4 * kPageSize + 32, 0, 8);
+  EXPECT_FALSE(moved());
+  EXPECT_EQ(mem.page_data(4 * kPageSize), page);
+  EXPECT_EQ(page[0], 0xAB);  // the pointer shows the page's current bytes
+
+  mem.write_bytes(6 * kPageSize, page, 4);  // a bulk write that materialises
+  EXPECT_TRUE(moved());
+
+  const std::vector<u8> blob = saved(mem);
+  ByteReader r(blob);
+  mem.load_state(r);
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(mem.page_data(4 * kPageSize)[0], 0xAB);
+}
+
 // ---------------------------------------------------------------------------
 // PTE codec.
 // ---------------------------------------------------------------------------
@@ -496,6 +536,49 @@ TEST(Tlb, SingleVpnFlush) {
   tlb.flush_vpn(5);
   EXPECT_FALSE(tlb.peek(5).has_value());
   EXPECT_TRUE(tlb.peek(6).has_value());
+}
+
+// Each of the five slot mutators moves epoch(); lookups, peeks and
+// credit_hit() leave it where it is.
+TEST(Tlb, EpochMovesOnEverySlotMutatorAndNothingElse) {
+  Tlb tlb(2);
+  u64 epoch = tlb.epoch();
+  auto moved = [&] {
+    const bool changed = tlb.epoch() != epoch;
+    epoch = tlb.epoch();
+    return changed;
+  };
+  tlb.insert(entry_for(1));
+  EXPECT_TRUE(moved());
+  tlb.insert(entry_for(1, 3));  // replaces the same vpn
+  EXPECT_TRUE(moved());
+
+  tlb.lookup(1);
+  tlb.lookup(9);  // a miss
+  tlb.peek(1);
+  tlb.peek_slot(0);
+  tlb.peek_slot(1);
+  tlb.credit_hit();
+  EXPECT_FALSE(moved());
+  EXPECT_EQ(tlb.stats().hits, 2u);
+  EXPECT_EQ(tlb.stats().misses, 1u);
+
+  EXPECT_TRUE(tlb.corrupt_slot(0, 1, 0, false));
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(tlb.corrupt_slot(1, 1, 0, false));  // empty slot: no change
+  EXPECT_FALSE(moved());
+  tlb.flush_vpn(1);
+  EXPECT_TRUE(moved());
+  tlb.flush();
+  EXPECT_TRUE(moved());
+
+  ByteWriter w;
+  tlb.save_state(w);
+  EXPECT_FALSE(moved());
+  const std::vector<u8> blob = w.take();
+  ByteReader r(blob);
+  tlb.load_state(r);
+  EXPECT_TRUE(moved());
 }
 
 TEST(Tlb, PropertyNeverExceedsCapacityAndFindsRecent) {

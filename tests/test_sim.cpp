@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "guest_test_util.h"
 #include "passes/shadow_stack.h"
@@ -268,6 +269,50 @@ TEST(RunLoop, HostExceptionInsideABurstKeepsItsRetiredSteps) {
         {qsort_under(passes::ShadowStackKind::kSealPkRdWr)}, config,
         /*throw_at=*/9'000);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The hart's fetch path across restore and host threads.
+// ---------------------------------------------------------------------------
+
+TEST(FetchPath, RestoreIntoTheSameWarmMachineResumesByteIdentically) {
+  // The restore frees every page the hart's cached code page points into,
+  // and replaces the ITLB it was tagged with. The resumed run must retrace
+  // the first one exactly; under ASan this also guards against a read
+  // through the stale page pointer.
+  sim::Machine machine{sim::MachineConfig{}};
+  machine.load(qsort_under(passes::ShadowStackKind::kSealPkRdWr));
+  machine.run(15'000);
+  const std::vector<u8> mid = snapshot::save(machine);
+  const sim::RunOutcome first = machine.run(15'000);
+  ASSERT_FALSE(first.completed);
+  const std::vector<u8> after = snapshot::save(machine);
+  snapshot::restore(machine, mid);
+  const sim::RunOutcome again = machine.run(15'000);
+  EXPECT_FALSE(again.completed);
+  EXPECT_EQ(again.instructions, first.instructions);
+  EXPECT_EQ(again.cycles, first.cycles);
+  EXPECT_EQ(snapshot::save(machine), after);
+}
+
+TEST(FetchPath, TwoHostThreadsRunMachinesConcurrently) {
+  // Each hart owns its decoded pages, so machines on different host
+  // threads share no fetch state (TSan checks the host side).
+  const isa::Image image = qsort_under(passes::ShadowStackKind::kSealPkRdWr);
+  auto run = [&image](std::vector<u8>* blob) {
+    sim::Machine machine{sim::MachineConfig{}};
+    machine.load(image);
+    EXPECT_TRUE(machine.run().completed);
+    *blob = snapshot::save(machine);
+  };
+  std::vector<u8> serial, a, b;
+  run(&serial);
+  std::thread ta(run, &a);
+  std::thread tb(run, &b);
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, serial);
+  EXPECT_EQ(b, serial);
 }
 
 TEST(MultiProcess, SealStateIsPerProcess) {

@@ -265,7 +265,8 @@ int main(int argc, char** argv) {
   cli.plan.enabled = true;
   cli.plan.seed = 7;
   cli.plan.rate = 2e-5;
-  for (cli::Args a("sealpk-fleet", argc, argv); a.next();) {
+  cli::Args a("sealpk-fleet", argc, argv);
+  while (a.next()) {
     if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
         a.flag("--chaos", &cli.chaos) || a.flag("--trace", &cli.trace) ||
         a.value("--trace-ring", &cli.trace_ring) ||
@@ -294,6 +295,21 @@ int main(int argc, char** argv) {
     }
   }
   if (cli.mode.empty()) return usage();
+  // sweep and run read every flag but the bare --json (their report goes
+  // to a file); list and diff read only their output flags.
+  if (cli.mode == "list") {
+    a.only("list", {"-q", "--quiet", "--json", "--json="});
+  } else if (cli.mode == "diff") {
+    a.only("diff", {"--json="});
+  } else {
+    a.only(cli.mode,
+           {"-q", "--quiet", "--chaos", "--trace", "--trace-ring=",
+            "--canonical", "--selfcheck", "--rollback", "--no-pkr-save",
+            "--threads=", "--scale=", "--budget=", "--workloads=",
+            "--variants=", "--json=", "--chaos-seed=", "--chaos-rate=",
+            "--cam-rate=", "--max-faults=", "--kinds=", "--ckpt-interval=",
+            "--max-rollbacks="});
+  }
 
   if (cli.mode == "list") {
     if (cli.json) {

@@ -204,7 +204,8 @@ int run_all(const CliOptions& cli) {
 int main(int argc, char** argv) {
   CliOptions cli;
   serve::ServeConfig& cfg = cli.cfg;
-  for (cli::Args a("sealpk-serve", argc, argv); a.next();) {
+  cli::Args a("sealpk-serve", argc, argv);
+  while (a.next()) {
     if (a.flag("--all", &cli.all_attacks) || a.flag("-q", &cli.quiet) ||
         a.flag("--quiet", &cli.quiet) ||
         a.flag("--chaos", &cfg.chaos.enabled) ||
@@ -233,7 +234,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cli.mode == "list") return mode_list();
+  if (cli.mode == "list") {
+    a.only("list", {});
+    return mode_list();
+  }
+  // One server run reads the serving config and the trace path; the
+  // registry drain reads the config and the pool size.
+  if (cli.mode == "run" || (cli.mode == "attack" && !cli.all_attacks)) {
+    a.only(cli.mode, {"-q", "--quiet", "--chaos", "--primaries=",
+                      "--requests=", "--rounds=", "--seed=", "--budget=",
+                      "--max-attempts=", "--strike-limit=", "--chaos-seed=",
+                      "--chaos-rate=", "--max-faults=", "--json=",
+                      "--trace-out="});
+  } else if (cli.mode == "attack") {
+    a.only("attack --all",
+           {"-q", "--quiet", "--all", "--chaos", "--primaries=",
+            "--requests=", "--rounds=", "--seed=", "--budget=",
+            "--max-attempts=", "--strike-limit=", "--chaos-seed=",
+            "--chaos-rate=", "--max-faults=", "--json=", "--threads="});
+  }
   if (cli.mode == "run") return run_one(cli);
   if (cli.mode == "attack") {
     if (cli.all_attacks) return run_all(cli);

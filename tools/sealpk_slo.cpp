@@ -238,7 +238,8 @@ int mode_check(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (cli::Args a("sealpk-slo", argc, argv); a.next();) {
+  cli::Args a("sealpk-slo", argc, argv);
+  while (a.next()) {
     std::pair<std::string, std::string> report;
     if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
         a.flag("--selfcheck", &cli.selfcheck) ||
@@ -257,7 +258,14 @@ int main(int argc, char** argv) {
       a.reject();
     }
   }
-  if (cli.mode == "spans") return mode_spans(cli);
-  if (cli.mode == "check") return mode_check(cli);
+  if (cli.mode == "spans") {
+    a.only("spans", {"-q", "--quiet", "--selfcheck", "--threads=", "--out="});
+    return mode_spans(cli);
+  }
+  if (cli.mode == "check") {
+    a.only("check",
+           {"-q", "--quiet", "--json", "--json=", "--spec=", "--report="});
+    return mode_check(cli);
+  }
   return usage();
 }

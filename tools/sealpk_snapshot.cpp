@@ -268,7 +268,8 @@ int cmd_info(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (cli::Args a("sealpk-snapshot", argc, argv); a.next();) {
+  cli::Args a("sealpk-snapshot", argc, argv);
+  while (a.next()) {
     if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
         a.flag("--seal", &cli.perm_seal) ||
         a.value("--ss", &cli.ss, cli::parse_ss_kind) ||
@@ -287,6 +288,22 @@ int main(int argc, char** argv) {
     } else {
       cli.positional.push_back(a.arg());
     }
+  }
+
+  if (cli.command == "save") {
+    a.only("save", {"-q", "--quiet", "--seal", "--ss=", "--out=", "--at=",
+                    "--chaos-seed=", "--chaos-rate=", "--cam-rate=",
+                    "--max-faults="});
+  } else if (cli.command == "restore") {
+    a.only("restore", {"-q", "--quiet", "--expect-exit="});
+  } else if (cli.command == "replay") {
+    a.only("replay", {"-q", "--quiet", "--seal", "--ss=", "--at=",
+                      "--chaos-seed=", "--chaos-rate=", "--cam-rate=",
+                      "--max-faults="});
+  } else if (cli.command == "diff") {
+    a.only("diff", {"-q", "--quiet", "--json", "--json="});
+  } else if (cli.command == "info") {
+    a.only("info", {"--json", "--json="});
   }
 
   const size_t nargs = cli.positional.size();

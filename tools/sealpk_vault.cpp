@@ -123,7 +123,8 @@ int mode_sweep(const CliOptions& cli) {
 int main(int argc, char** argv) {
   CliOptions cli;
   vault::SweepConfig& cfg = cli.cfg;
-  for (cli::Args a("sealpk-vault", argc, argv); a.next();) {
+  cli::Args a("sealpk-vault", argc, argv);
+  while (a.next()) {
     if (a.flag("-q", &cli.quiet) || a.flag("--quiet", &cli.quiet) ||
         a.flag("--selfcheck", &cli.selfcheck) ||
         a.flag("--chaos", &cfg.chaos) ||
@@ -149,7 +150,12 @@ int main(int argc, char** argv) {
     if (!cli.mode.empty()) return usage();
     cli.mode = a.arg();
   }
-  if (cli.mode == "run") return mode_run(cli);
+  // run reads the workload spec; sweep reads every flag.
+  if (cli.mode == "run") {
+    a.only("run", {"-q", "--quiet", "--slots=", "--slot-size=", "--seals=",
+                   "--reseals=", "--unseals=", "--seed="});
+    return mode_run(cli);
+  }
   if (cli.mode == "sweep") return mode_sweep(cli);
   return usage();
 }
