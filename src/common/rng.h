@@ -35,6 +35,11 @@ class Rng {
   u64 state() const { return state_; }
   void set_state(u64 state) { state_ = state; }
 
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& rng) {
+    ar(rng.state_);
+  }
+
  private:
   static u64 splitmix(u64 x) {
     x += 0x9E3779B97F4A7C15ULL;

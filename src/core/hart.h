@@ -97,11 +97,30 @@ class Hart {
   u64 instret() const { return instret_; }
   const HartStats& stats() const { return stats_; }
 
-  // Snapshot ports: restore overwrites the performance counters so a
-  // resumed hart continues the exact counter stream of the saved one.
-  void set_cycles(u64 cycles) { cycles_ = cycles; }
-  void set_instret(u64 instret) { instret_ = instret; }
-  void set_stats(const HartStats& stats) { stats_ = stats; }
+  // Snapshot field list (HART section). Restore overwrites the performance
+  // counters too, so a resumed hart continues the exact counter stream of
+  // the saved one.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& h) {
+    head_io(ar, h.regs_, h.pc_, h.priv_, h.cycles_, h.instret_);
+    auto& s = h.stats_;
+    ar(s.loads, s.stores, s.calls, s.traps, s.pkey_denials, s.wrpkr_count,
+       s.rdpkr_count, s.wrpkru_count);
+    auto& c = h.csrs_;
+    ar(c.sstatus, c.stvec, c.sscratch, c.sepc, c.scause, c.stval, c.satp,
+       c.spkinfo, c.seal_start, c.seal_end);
+  }
+
+  // The section's leading fields, which snapshot::info and diff read
+  // alone. x0 is hard-wired to zero, and priv must name a mode.
+  template <class Ar, class Regs, class Word, class Mode>
+  static void head_io(Ar& ar, Regs& regs, Word& pc, Mode& priv, Word& cycles,
+                      Word& instret) {
+    ar(regs, pc);
+    ar.expect_eq(regs[0], u64{0}, "hart x0");
+    ar.enum_field(priv, Priv::kSupervisor);
+    ar(cycles, instret);
+  }
 
   // Flushes both TLBs (the kernel's sfence.vma after PTE updates).
   void flush_tlbs();

@@ -305,44 +305,22 @@ u64 FaultInjector::outstanding() const {
   return n;
 }
 
-void FaultInjector::save_state(ByteWriter& w) const {
-  w.put_u64(rng_.state());
-  w.put_u64(next_fire_);
-  w.put_u64(suppress_);
-  w.put_u64(events_.size());
-  for (const auto& event : events_) {
-    w.put_u8(static_cast<u8>(event.kind));
-    w.put_u64(event.instret);
-    w.put_u64(event.detail0);
-    w.put_u64(event.detail1);
-    w.put_u8(static_cast<u8>(event.resolution));
-  }
-  w.put_u64(seen_pkr_scrubs_);
-  w.put_u64(seen_tlb_flushes_);
-  w.put_u64(seen_pte_repairs_);
-  w.put_u64(seen_cam_dedups_);
-}
-
-void FaultInjector::load_state(ByteReader& r) {
-  rng_.set_state(r.get_u64());
-  next_fire_ = r.get_u64();
-  suppress_ = r.get_u64();
-  events_.resize(r.get_count(1 + 8 + 8 + 8 + 1));
-  for (auto& event : events_) {
-    event.kind = static_cast<FaultKind>(r.get_u8());
-    event.instret = r.get_u64();
-    event.detail0 = r.get_u64();
-    event.detail1 = r.get_u64();
-    event.resolution = static_cast<FaultResolution>(r.get_u8());
-  }
-  seen_pkr_scrubs_ = r.get_u64();
-  seen_tlb_flushes_ = r.get_u64();
-  seen_pte_repairs_ = r.get_u64();
-  seen_cam_dedups_ = r.get_u64();
+template <class Ar, class Self>
+void FaultInjector::io(Ar& ar, Self& f) {
+  ar(f.rng_, f.next_fire_, f.suppress_);
+  ar.seq(f.events_, 1 + 8 + 8 + 8 + 1);
+  ar(f.seen_pkr_scrubs_, f.seen_tlb_flushes_, f.seen_pte_repairs_,
+     f.seen_cam_dedups_);
   // Deliberately NOT restored: across a rollback the lifetime count keeps
   // every firing of the doomed attempt, so max_faults stays a hard budget.
   // A fresh restore (new injector) starts from the recorded history.
-  lifetime_injected_ = std::max<u64>(lifetime_injected_, events_.size());
+  if constexpr (Ar::kLoading) {
+    f.lifetime_injected_ =
+        std::max<u64>(f.lifetime_injected_, f.events_.size());
+  }
 }
+
+template void FaultInjector::io(Save&, const FaultInjector&);
+template void FaultInjector::io(Load&, FaultInjector&);
 
 }  // namespace sealpk::fault

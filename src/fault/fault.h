@@ -86,6 +86,13 @@ struct FaultEvent {
   u64 detail0 = 0;   // kind-specific: row / TLB slot / vaddr
   u64 detail1 = 0;   // kind-specific: bit index / corruption mask
   FaultResolution resolution = FaultResolution::kOutstanding;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& e) {
+    ar.enum_field(e.kind, FaultKind::kVkeyTableCorrupt);
+    ar(e.instret, e.detail0, e.detail1);
+    ar.enum_field(e.resolution, FaultResolution::kMaskedBenign);
+  }
 };
 
 class FaultInjector {
@@ -133,14 +140,15 @@ class FaultInjector {
   // re-execution replays the doomed window fault-free.
   void suppress(u64 n) { suppress_ += n; }
   // Lifetime firings across every rollback attempt. NOT restored by
-  // load_state (a rollback must not refill the max_faults budget, or an
+  // a snapshot load (a rollback must not refill the max_faults budget, or an
   // aggressive plan could fire faults forever across retries).
   u64 lifetime_injected() const { return lifetime_injected_; }
 
-  // Snapshot ports: RNG stream, fire schedule, event log and the
+  // Snapshot field list: RNG stream, fire schedule, event log and the
   // note_recoveries watermarks, so a restored run injects bit-identically.
-  void save_state(ByteWriter& w) const;
-  void load_state(ByteReader& r);
+  // Instantiated for Save and Load only.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& f);
 
   // Observability sink (src/obs): every recorded injection is published as
   // a kFaultInjected event. Null = disabled.
@@ -168,7 +176,7 @@ class FaultInjector {
   u64 seen_pte_repairs_ = 0;
   u64 seen_cam_dedups_ = 0;
   // NOT serialized (VaultStats itself is recounted after a restore; the
-  // save/load layout below it is frozen by the committed golden snapshot).
+  // FINJ layout is frozen by the committed golden snapshot).
   u64 seen_vault_detected_ = 0;
   // NOT serialized either (KernelStats::vkey_repairs is likewise recounted).
   u64 seen_vkey_repairs_ = 0;

@@ -141,22 +141,13 @@ class Pkr {
   const PkrStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  // Snapshot port. Unlike restore(), this carries the parity bits verbatim:
-  // a checkpoint taken while a row is corrupt must reproduce the stale
-  // parity, not launder it by recomputing.
-  void save_state(ByteWriter& w) const {
-    for (u64 row : rows_) w.put_u64(row);
-    for (bool p : parity_) w.put_bool(p);
-    w.put_u64(stats_.row_reads);
-    w.put_u64(stats_.row_writes);
-    w.put_u64(stats_.perm_lookups);
-  }
-  void load_state(ByteReader& r) {
-    for (u64& row : rows_) row = r.get_u64();
-    for (u32 i = 0; i < kPkrRows; ++i) parity_[i] = r.get_bool();
-    stats_.row_reads = r.get_u64();
-    stats_.row_writes = r.get_u64();
-    stats_.perm_lookups = r.get_u64();
+  // Snapshot field list. Unlike restore(), this carries the parity bits
+  // verbatim: a checkpoint taken while a row is corrupt must reproduce the
+  // stale parity, not launder it by recomputing.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& p) {
+    ar(p.rows_, p.parity_, p.stats_.row_reads, p.stats_.row_writes,
+       p.stats_.perm_lookups);
   }
 
  private:

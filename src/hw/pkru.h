@@ -38,6 +38,11 @@ class Pkru {
 
   void reset() { value_ = 0; }
 
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& p) {
+    ar(p.value_);
+  }
+
  private:
   u32 value_ = 0;
 };

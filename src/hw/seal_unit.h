@@ -59,22 +59,22 @@ class SealUnit {
 
   bool sealed(u32 pkey) const {
     SEALPK_CHECK(pkey < kNumPkeys);
-    return seal_reg_[pkey];
+    return state_.seal_reg[pkey];
   }
 
   // Supervisor commit path (spk.seal). One-time fuse: re-sealing an
   // already-sealed key is a hardware no-op the kernel screens earlier.
   void set_sealed(u32 pkey) {
     SEALPK_CHECK(pkey < kNumPkeys);
-    seal_reg_[pkey] = true;
+    state_.seal_reg[pkey] = true;
   }
 
   // Evaluates Figure 4's hit condition for a WRPKR at `pc` naming `pkey`.
   SealCheck check_wrpkr(u32 pkey, u64 pc) {
     SEALPK_CHECK(pkey < kNumPkeys);
     ++stats_.checks;
-    if (!seal_reg_[pkey]) return SealCheck::kAllowed;
-    for (const auto& slot : cam_) {
+    if (!state_.seal_reg[pkey]) return SealCheck::kAllowed;
+    for (const auto& slot : state_.cam) {
       if (slot.valid && slot.entry.pkey == pkey) {
         ++stats_.cam_hits;
         if (pc >= slot.entry.addr_start && pc <= slot.entry.addr_end) {
@@ -94,15 +94,15 @@ class SealUnit {
     SEALPK_CHECK(pkey < kNumPkeys);
     SEALPK_CHECK(addr_start <= addr_end);
     ++stats_.refills;
-    for (auto& slot : cam_) {
+    for (auto& slot : state_.cam) {
       if (slot.valid && slot.entry.pkey == pkey) {
         slot.entry = {static_cast<u16>(pkey), addr_start, addr_end};
         return;
       }
     }
-    cam_[fifo_next_] = {
+    state_.cam[state_.fifo_next] = {
         {static_cast<u16>(pkey), addr_start, addr_end}, true};
-    fifo_next_ = (fifo_next_ + 1) % active_cam_entries_;
+    state_.fifo_next = (state_.fifo_next + 1) % active_cam_entries_;
   }
 
   // Fault-model port: a refill that skips the replace-in-place scan and
@@ -114,16 +114,16 @@ class SealUnit {
     SEALPK_CHECK(pkey < kNumPkeys);
     SEALPK_CHECK(addr_start <= addr_end);
     ++stats_.refills;
-    cam_[fifo_next_] = {
+    state_.cam[state_.fifo_next] = {
         {static_cast<u16>(pkey), addr_start, addr_end}, true};
-    fifo_next_ = (fifo_next_ + 1) % active_cam_entries_;
+    state_.fifo_next = (state_.fifo_next + 1) % active_cam_entries_;
   }
 
   // Auditor port: count valid CAM entries naming `pkey` (> 1 after a
   // duplicated refill).
   size_t cam_count_of(u32 pkey) const {
     size_t n = 0;
-    for (const auto& slot : cam_)
+    for (const auto& slot : state_.cam)
       if (slot.valid && slot.entry.pkey == pkey) ++n;
     return n;
   }
@@ -135,7 +135,7 @@ class SealUnit {
   size_t drop_duplicates(u32 pkey) {
     size_t dropped = 0;
     bool seen = false;
-    for (auto& slot : cam_) {
+    for (auto& slot : state_.cam) {
       if (!slot.valid || slot.entry.pkey != pkey) continue;
       if (seen) {
         slot.valid = false;
@@ -150,8 +150,8 @@ class SealUnit {
   // dissolves so a future owner of the key starts unsealed (§IV).
   void clear_key(u32 pkey) {
     SEALPK_CHECK(pkey < kNumPkeys);
-    seal_reg_[pkey] = false;
-    for (auto& slot : cam_) {
+    state_.seal_reg[pkey] = false;
+    for (auto& slot : state_.cam) {
       if (slot.valid && slot.entry.pkey == pkey) slot.valid = false;
     }
   }
@@ -159,11 +159,11 @@ class SealUnit {
   // Auditor port: the valid entry in CAM slot `i`, or nullptr when empty.
   const CamEntry* cam_slot(size_t i) const {
     SEALPK_CHECK(i < kPkCamEntries);
-    return cam_[i].valid ? &cam_[i].entry : nullptr;
+    return state_.cam[i].valid ? &state_.cam[i].entry : nullptr;
   }
 
   std::optional<CamEntry> cam_lookup(u32 pkey) const {
-    for (const auto& slot : cam_) {
+    for (const auto& slot : state_.cam) {
       if (slot.valid && slot.entry.pkey == pkey) return slot.entry;
     }
     return std::nullopt;
@@ -171,7 +171,7 @@ class SealUnit {
 
   size_t cam_valid_count() const {
     size_t n = 0;
-    for (const auto& slot : cam_)
+    for (const auto& slot : state_.cam)
       if (slot.valid) ++n;
     return n;
   }
@@ -180,103 +180,58 @@ class SealUnit {
   // kernel swaps (§IV "we modify the Linux kernel to maintain the SealReg
   // information as well as permissible range of each pkey during context
   // switches").
+  struct Slot {
+    CamEntry entry;
+    bool valid = false;
+  };
   struct Snapshot {
     std::bitset<kNumPkeys> seal_reg;
-    std::array<CamEntry, kPkCamEntries> cam_entries;
-    std::array<bool, kPkCamEntries> cam_valid;
+    std::array<Slot, kPkCamEntries> cam{};
     unsigned fifo_next = 0;
+
+    // One field list for the unit's own SEAL section and the kernel's
+    // per-process seal images. A cursor past the CAM would make the next
+    // refill write outside it, so load rejects one.
+    template <class Ar, class Self>
+    static void io(Ar& ar, Self& s) {
+      ar(s.seal_reg);
+      for (auto& slot : s.cam) {
+        ar(slot.entry.pkey, slot.entry.addr_start, slot.entry.addr_end,
+           slot.valid);
+      }
+      ar(s.fifo_next);
+      ar.below(s.fifo_next, kPkCamEntries, "PK-CAM FIFO cursor");
+    }
   };
 
   // Canonical architectural state: SealReg, the CAM array, and the FIFO
   // cursor — exactly what context switches swap and the model checker
   // hashes. save() keeps its historical name for the kernel call sites.
-  Snapshot canonical_state() const { return save(); }
+  Snapshot canonical_state() const { return state_; }
 
-  // Serialized form of a Snapshot. Both the process snapshot layer
-  // (src/snapshot via the kernel's per-process seal images) and save_state
-  // below emit this same byte layout; keeping it in one place means the two
-  // can never drift.
-  static void save_snapshot(ByteWriter& w, const Snapshot& s) {
-    w.put_bitset(s.seal_reg);
-    for (unsigned i = 0; i < kPkCamEntries; ++i) {
-      w.put_u16(s.cam_entries[i].pkey);
-      w.put_u64(s.cam_entries[i].addr_start);
-      w.put_u64(s.cam_entries[i].addr_end);
-      w.put_bool(s.cam_valid[i]);
-    }
-    w.put_u32(s.fifo_next);
-  }
-
-  static Snapshot load_snapshot(ByteReader& r) {
-    Snapshot s;
-    s.seal_reg = r.get_bitset<kNumPkeys>();
-    for (unsigned i = 0; i < kPkCamEntries; ++i) {
-      s.cam_entries[i].pkey = r.get_u16();
-      s.cam_entries[i].addr_start = r.get_u64();
-      s.cam_entries[i].addr_end = r.get_u64();
-      s.cam_valid[i] = r.get_bool();
-    }
-    s.fifo_next = r.get_u32();
-    return s;
-  }
-
-  Snapshot save() const {
-    Snapshot s;
-    s.seal_reg = seal_reg_;
-    for (unsigned i = 0; i < kPkCamEntries; ++i) {
-      s.cam_entries[i] = cam_[i].entry;
-      s.cam_valid[i] = cam_[i].valid;
-    }
-    s.fifo_next = fifo_next_;
-    return s;
-  }
-
-  void restore(const Snapshot& s) {
-    seal_reg_ = s.seal_reg;
-    for (unsigned i = 0; i < kPkCamEntries; ++i) {
-      cam_[i].entry = s.cam_entries[i];
-      cam_[i].valid = s.cam_valid[i];
-    }
-    fifo_next_ = s.fifo_next;
-  }
+  Snapshot save() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
   void reset() {
-    seal_reg_.reset();
-    for (auto& slot : cam_) slot.valid = false;
-    fifo_next_ = 0;
+    state_.seal_reg.reset();
+    for (auto& slot : state_.cam) slot.valid = false;
+    state_.fifo_next = 0;
   }
 
   const SealUnitStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  // Snapshot port: everything save()/restore() covers plus the stats, so a
-  // resumed run's counters match an uninterrupted one.
-  void save_state(ByteWriter& w) const {
-    save_snapshot(w, canonical_state());
-    w.put_u64(stats_.checks);
-    w.put_u64(stats_.cam_hits);
-    w.put_u64(stats_.cam_misses);
-    w.put_u64(stats_.violations);
-    w.put_u64(stats_.refills);
-  }
-  void load_state(ByteReader& r) {
-    restore(load_snapshot(r));
-    stats_.checks = r.get_u64();
-    stats_.cam_hits = r.get_u64();
-    stats_.cam_misses = r.get_u64();
-    stats_.violations = r.get_u64();
-    stats_.refills = r.get_u64();
+  // Snapshot field list: everything save()/restore() covers plus the
+  // stats, so a resumed run's counters match an uninterrupted one.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& u) {
+    ar(u.state_, u.stats_.checks, u.stats_.cam_hits, u.stats_.cam_misses,
+       u.stats_.violations, u.stats_.refills);
   }
 
  private:
-  struct Slot {
-    CamEntry entry;
-    bool valid = false;
-  };
   unsigned active_cam_entries_ = kPkCamEntries;
-  std::bitset<kNumPkeys> seal_reg_;
-  std::array<Slot, kPkCamEntries> cam_{};
-  unsigned fifo_next_ = 0;
+  Snapshot state_;
   SealUnitStats stats_;
 };
 

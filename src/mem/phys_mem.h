@@ -135,6 +135,17 @@ class PhysMem {
     }
   }
 
+  // The one serialized type whose encoding is asymmetric by design: save
+  // elides zero pages, so load cannot mirror it field by field.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& m) {
+    if constexpr (Ar::kLoading) {
+      m.load_state(ar.reader());
+    } else {
+      m.save_state(ar.writer());
+    }
+  }
+
  private:
   using Page = std::array<u8, kPageSize>;
   static inline const Page kZeroPage{};

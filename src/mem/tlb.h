@@ -58,7 +58,7 @@ class Tlb {
   void credit_hit() { ++stats_.hits; }
 
   // Moves on every change to the slots (insert, flush, flush_vpn,
-  // corrupt_slot, load_state) and on nothing else.
+  // corrupt_slot, a snapshot restore) and on nothing else.
   u64 epoch() const { return epoch_; }
 
   // Peek without touching statistics (used by tests and debug dumps).
@@ -142,54 +142,22 @@ class Tlb {
   const TlbStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  // Snapshot port: slots verbatim (including any injector-corrupted entry),
-  // the round-robin cursor, and the stats.
-  void save_state(ByteWriter& w) const {
-    w.put_u64(entries_.size());
-    for (const auto& slot : entries_) {
-      w.put_u64(slot.entry.vpn);
-      w.put_u64(slot.entry.ppn);
-      w.put_bool(slot.entry.r);
-      w.put_bool(slot.entry.w);
-      w.put_bool(slot.entry.x);
-      w.put_bool(slot.entry.user);
-      w.put_bool(slot.entry.dirty);
-      w.put_u16(slot.entry.pkey);
-      w.put_bool(slot.valid);
+  // Snapshot field list: slots verbatim (including any injector-corrupted
+  // entry), the round-robin cursor, and the stats. A restore moves epoch().
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& t) {
+    if constexpr (Ar::kLoading) ++t.epoch_;
+    u64 slots = t.entries_.size();
+    ar(slots);
+    ar.expect_eq(slots, t.entries_.size(), "TLB slot count");
+    for (auto& slot : t.entries_) {
+      ar(slot.entry.vpn, slot.entry.ppn, slot.entry.r, slot.entry.w,
+         slot.entry.x, slot.entry.user, slot.entry.dirty, slot.entry.pkey,
+         slot.valid);
     }
-    w.put_u64(next_victim_);
-    w.put_u64(stats_.hits);
-    w.put_u64(stats_.misses);
-    w.put_u64(stats_.flushes);
-    w.put_u64(stats_.evictions);
-  }
-  void load_state(ByteReader& r) {
-    ++epoch_;
-    const u64 n = r.get_u64();
-    SEALPK_CHECK_MSG(n == entries_.size(),
-                     "TLB capacity mismatch: snapshot has "
-                         << n << " slots, machine has " << entries_.size());
-    for (auto& slot : entries_) {
-      slot.entry.vpn = r.get_u64();
-      slot.entry.ppn = r.get_u64();
-      slot.entry.r = r.get_bool();
-      slot.entry.w = r.get_bool();
-      slot.entry.x = r.get_bool();
-      slot.entry.user = r.get_bool();
-      slot.entry.dirty = r.get_bool();
-      slot.entry.pkey = r.get_u16();
-      slot.valid = r.get_bool();
-    }
-    const u64 next_victim = r.get_u64();
-    SEALPK_CHECK_MSG(next_victim < entries_.size(),
-                     "TLB victim cursor " << next_victim
-                                          << " out of range for "
-                                          << entries_.size() << " slots");
-    next_victim_ = static_cast<size_t>(next_victim);
-    stats_.hits = r.get_u64();
-    stats_.misses = r.get_u64();
-    stats_.flushes = r.get_u64();
-    stats_.evictions = r.get_u64();
+    ar(t.next_victim_);
+    ar.below(t.next_victim_, t.entries_.size(), "TLB victim cursor");
+    ar(t.stats_.hits, t.stats_.misses, t.stats_.flushes, t.stats_.evictions);
   }
 
  private:

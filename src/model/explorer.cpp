@@ -168,7 +168,7 @@ ExploreResult explore(const ModelConfig& cfg, const ProgressFn& progress) {
         Harness base(cfg);
         for (size_t i = lo; i < hi; ++i) {
           const ModelState st =
-              decode_state(cfg, encodings[level[batch + i]]);
+              parse_state(cfg, encodings[level[batch + i]]);
           base.install(st);
           for (size_t oi = 0; oi < ops.size(); ++oi) {
             results[i * ops.size() + oi] =
@@ -259,7 +259,7 @@ ReplayResult replay(const ModelConfig& cfg, const std::vector<Op>& ops) {
       }
       return out;
     }
-    st = decode_state(cfg, tc.got_enc);
+    st = parse_state(cfg, tc.got_enc);
   }
   return out;
 }

@@ -64,9 +64,9 @@ void Harness::install(const ModelState& s) {
     if (s.keys[k].hw_sealed) snap.seal_reg.set(k);
   }
   for (unsigned i = 0; i < cfg_.cam_entries; ++i) {
-    snap.cam_entries[i] = {static_cast<u16>(s.cam[i].pkey), s.cam[i].start,
-                           s.cam[i].end};
-    snap.cam_valid[i] = s.cam[i].valid;
+    snap.cam[i] = {{static_cast<u16>(s.cam[i].pkey), s.cam[i].start,
+                    s.cam[i].end},
+                   s.cam[i].valid};
   }
   snap.fifo_next = s.fifo_next;
   seal_.restore(snap);
@@ -125,14 +125,14 @@ ModelState Harness::extract() const {
 
   for (unsigned i = 0; i < hw::kPkCamEntries; ++i) {
     if (i < cfg_.cam_entries) {
-      s.cam[i].valid = snap.cam_valid[i];
-      s.cam[i].pkey = static_cast<u8>(snap.cam_entries[i].pkey);
-      s.cam[i].start = snap.cam_entries[i].addr_start;
-      s.cam[i].end = snap.cam_entries[i].addr_end;
+      s.cam[i].valid = snap.cam[i].valid;
+      s.cam[i].pkey = static_cast<u8>(snap.cam[i].entry.pkey);
+      s.cam[i].start = snap.cam[i].entry.addr_start;
+      s.cam[i].end = snap.cam[i].entry.addr_end;
       SEALPK_CHECK_MSG(!s.cam[i].valid || s.cam[i].pkey < cfg_.num_pkeys,
                        "CAM caches a key outside the model universe");
     } else {
-      SEALPK_CHECK_MSG(!snap.cam_valid[i],
+      SEALPK_CHECK_MSG(!snap.cam[i].valid,
                        "CAM entry valid beyond the reduced CAM");
     }
   }

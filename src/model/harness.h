@@ -8,8 +8,8 @@
 // ENOSPC mask, the WRPKR -> CAM-miss refill -> retry composition of hart
 // and kernel, and the mutation injections. install() and extract() convert
 // to/from the abstract ModelState through the units' official ports
-// (canonical_state, restore, save_state/load_state), so the checker
-// observes exactly what context switches and snapshots observe.
+// (canonical_state, restore, set_key), so the checker observes exactly what
+// context switches and snapshots observe.
 #pragma once
 
 #include <vector>

@@ -7,11 +7,20 @@
 
 namespace sealpk::model {
 
-ModelState initial_state(const ModelConfig& cfg) {
+namespace {
+
+ModelState sized_state(const ModelConfig& cfg) {
   ModelState s;
   s.keys.resize(cfg.num_pkeys);
   s.pages.resize(cfg.num_pages);
   s.cam.resize(cfg.cam_entries);
+  return s;
+}
+
+}  // namespace
+
+ModelState initial_state(const ModelConfig& cfg) {
+  ModelState s = sized_state(cfg);
   s.keys[0].allocated = true;  // the default domain
   s.keys[0].pages = static_cast<u8>(cfg.num_pages);
   return s;
@@ -19,58 +28,17 @@ ModelState initial_state(const ModelConfig& cfg) {
 
 std::string encode_state(const ModelState& s) {
   ByteWriter w;
-  for (const auto& k : s.keys) {
-    const u8 flags = static_cast<u8>(
-        (k.allocated ? 1 : 0) | (k.dirty ? 2 : 0) | (k.sealed_domain ? 4 : 0) |
-        (k.sealed_page ? 8 : 0) | (k.hw_sealed ? 16 : 0));
-    w.put_u8(flags);
-    w.put_u8(k.perm);
-    w.put_u8(k.range);
-    w.put_u8(k.pages);
-  }
-  for (const auto& p : s.pages) {
-    w.put_u8(p.pkey);
-    w.put_u8(p.prot);
-  }
-  for (const auto& e : s.cam) {
-    w.put_u8(e.valid ? 1 : 0);
-    w.put_u8(e.pkey);
-    w.put_u64(e.start);
-    w.put_u64(e.end);
-  }
-  w.put_u8(s.fifo_next);
-  const auto buf = w.buffer();
+  Save ar(w);
+  ar(s);
+  const std::vector<u8>& buf = w.buffer();
   return std::string(reinterpret_cast<const char*>(buf.data()), buf.size());
 }
 
-ModelState decode_state(const ModelConfig& cfg, const std::string& enc) {
-  ModelState s;
-  s.keys.resize(cfg.num_pkeys);
-  s.pages.resize(cfg.num_pages);
-  s.cam.resize(cfg.cam_entries);
+ModelState parse_state(const ModelConfig& cfg, const std::string& enc) {
+  ModelState s = sized_state(cfg);
   ByteReader r(reinterpret_cast<const u8*>(enc.data()), enc.size());
-  for (auto& k : s.keys) {
-    const u8 flags = r.get_u8();
-    k.allocated = (flags & 1) != 0;
-    k.dirty = (flags & 2) != 0;
-    k.sealed_domain = (flags & 4) != 0;
-    k.sealed_page = (flags & 8) != 0;
-    k.hw_sealed = (flags & 16) != 0;
-    k.perm = r.get_u8();
-    k.range = r.get_u8();
-    k.pages = r.get_u8();
-  }
-  for (auto& p : s.pages) {
-    p.pkey = r.get_u8();
-    p.prot = r.get_u8();
-  }
-  for (auto& e : s.cam) {
-    e.valid = r.get_u8() != 0;
-    e.pkey = r.get_u8();
-    e.start = r.get_u64();
-    e.end = r.get_u64();
-  }
-  s.fifo_next = r.get_u8();
+  Load ar(r);
+  ar(s);
   SEALPK_CHECK_MSG(r.done(), "state encoding does not match configuration");
   return s;
 }

@@ -27,6 +27,13 @@ struct KeyState {
   u8 pages = 0;            // pages carrying this key (KeyManager counter)
 
   bool operator==(const KeyState&) const = default;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& k) {
+    ar.flags(k.allocated, k.dirty, k.sealed_domain, k.sealed_page,
+             k.hw_sealed);
+    ar(k.perm, k.range, k.pages);
+  }
 };
 
 struct PageState {
@@ -34,6 +41,11 @@ struct PageState {
   u8 prot = 0b11;  // PTE R|W bits
 
   bool operator==(const PageState&) const = default;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& p) {
+    ar(p.pkey, p.prot);
+  }
 };
 
 // PK-CAM entries carry raw addresses (not range indices) so a mutated
@@ -46,6 +58,11 @@ struct CamState {
   u64 end = 0;
 
   bool operator==(const CamState&) const = default;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& e) {
+    ar(e.valid, e.pkey, e.start, e.end);
+  }
 };
 
 struct ModelState {
@@ -55,16 +72,25 @@ struct ModelState {
   u8 fifo_next = 0;
 
   bool operator==(const ModelState&) const = default;
+
+  // The vectors' sizes come from the ModelConfig, not the stream.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& s) {
+    for (auto& k : s.keys) ar(k);
+    for (auto& p : s.pages) ar(p);
+    for (auto& e : s.cam) ar(e);
+    ar(s.fifo_next);
+  }
 };
 
 // The boot state: key 0 allocated carrying every page, everything else
 // clear.
 ModelState initial_state(const ModelConfig& cfg);
 
-// Canonical byte encoding (the visited-set key). decode() asserts the
+// Canonical byte encoding (the visited-set key). parse_state() asserts the
 // encoding matches cfg's dimensions.
 std::string encode_state(const ModelState& s);
-ModelState decode_state(const ModelConfig& cfg, const std::string& enc);
+ModelState parse_state(const ModelConfig& cfg, const std::string& enc);
 
 // Multi-line pretty form for counterexample reports.
 std::string state_to_string(const ModelState& s);

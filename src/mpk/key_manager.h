@@ -53,11 +53,13 @@ class MpkKeyManager : public os::KeyManager {
     // Linux's MPK support keeps no per-key page counts.
   }
 
-  void save_state(ByteWriter& w) const override {
-    w.put_u64(alloc_.to_ullong());
-  }
-  void load_state(ByteReader& r) override {
-    alloc_ = std::bitset<hw::kMpkNumPkeys>(r.get_u64());
+  void archive(Save& ar) const override { io(ar, *this); }
+  void archive(Load& ar) override { io(ar, *this); }
+
+  // One u64 word: the 16-bit map, zero-padded.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& k) {
+    ar(k.alloc_);
   }
 
  private:

@@ -322,99 +322,28 @@ class VkeyTable {
     std::sort(pool_.begin(), pool_.end(), std::greater<u32>());
   }
 
-  // --- snapshot port (VKEY section, format v2) ----------------------------
-  void save_state(ByteWriter& w) const {
-    w.put_u32(config_.mru_slots);
-    w.put_bool(config_.lazy_sync);
-    w.put_u64(next_vkey_);
-    w.put_u32(park_);
-    w.put_u64(entries_.size());
-    for (const auto& [vkey, e] : entries_) {
-      w.put_u64(vkey);
-      w.put_u8(static_cast<u8>(e.state));
-      w.put_u8(e.perm);
-      w.put_u32(e.phys);
-      w.put_u64(e.pages);
-      w.put_u64(e.groups.size());
-      for (const VkeyGroup& g : e.groups) {
-        w.put_u64(g.addr);
-        w.put_u64(g.len);
-        w.put_u64(g.prot);
-      }
-    }
-    w.put_u64(lru_.size());
-    for (const u64 vkey : lru_) w.put_u64(vkey);
-    w.put_u64(mru_.size());
-    for (const u64 vkey : mru_) w.put_u64(vkey);
-    w.put_u64(pool_.size());
-    for (const u32 k : pool_) w.put_u32(k);
-    w.put_u64(drain_queue_.size());
-    for (const u64 vkey : drain_queue_) w.put_u64(vkey);
-    w.put_u64(acquired_.size());
-    for (const u32 k : acquired_) w.put_u32(k);
-    w.put_u64(stats_.allocs);
-    w.put_u64(stats_.frees);
-    w.put_u64(stats_.sets);
-    w.put_u64(stats_.mprotects);
-    w.put_u64(stats_.map_ins);
-    w.put_u64(stats_.revivals);
-    w.put_u64(stats_.mru_hits);
-    w.put_u64(stats_.evictions);
-    w.put_u64(stats_.drains);
-    w.put_u64(stats_.drain_flushes);
-    w.put_u64(stats_.pte_rekeys);
-    w.put_u64(stats_.tlb_flushes);
-  }
-
-  void load_state(ByteReader& r) {
-    entries_.clear();
-    lru_.clear();
-    mru_.clear();
-    pool_.clear();
-    drain_queue_.clear();
-    acquired_.clear();
-    config_.mru_slots = r.get_u32();
-    config_.lazy_sync = r.get_bool();
-    next_vkey_ = r.get_u64();
-    park_ = r.get_u32();
-    const u64 n = r.get_u64();
-    for (u64 i = 0; i < n; ++i) {
-      const u64 vkey = r.get_u64();
-      VkeyEntry e;
-      e.state = static_cast<VkeyState>(r.get_u8());
-      e.perm = r.get_u8();
-      e.phys = r.get_u32();
-      e.pages = r.get_u64();
-      e.groups.resize(r.get_count(8 + 8 + 8));
-      for (VkeyGroup& g : e.groups) {
-        g.addr = r.get_u64();
-        g.len = r.get_u64();
-        g.prot = r.get_u64();
-      }
-      entries_.emplace(vkey, std::move(e));
-    }
-    const u64 lru_n = r.get_u64();
-    for (u64 i = 0; i < lru_n; ++i) lru_.push_back(r.get_u64());
-    mru_.resize(r.get_count(8));
-    for (u64& vkey : mru_) vkey = r.get_u64();
-    pool_.resize(r.get_count(4));
-    for (u32& k : pool_) k = r.get_u32();
-    drain_queue_.resize(r.get_count(8));
-    for (u64& vkey : drain_queue_) vkey = r.get_u64();
-    acquired_.resize(r.get_count(4));
-    for (u32& k : acquired_) k = r.get_u32();
-    stats_.allocs = r.get_u64();
-    stats_.frees = r.get_u64();
-    stats_.sets = r.get_u64();
-    stats_.mprotects = r.get_u64();
-    stats_.map_ins = r.get_u64();
-    stats_.revivals = r.get_u64();
-    stats_.mru_hits = r.get_u64();
-    stats_.evictions = r.get_u64();
-    stats_.drains = r.get_u64();
-    stats_.drain_flushes = r.get_u64();
-    stats_.pte_rekeys = r.get_u64();
-    stats_.tlb_flushes = r.get_u64();
+  // --- snapshot field list (VKEY section, format v2) ----------------------
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& t) {
+    ar(t.config_.mru_slots, t.config_.lazy_sync, t.next_vkey_, t.park_);
+    ar.map(t.entries_, 8 + 1 + 1 + 4 + 8 + 8,
+           [](auto& ar, auto& vkey, auto& e) {
+             ar(vkey);
+             ar.enum_field(e.state, VkeyState::kDraining);
+             ar(e.perm, e.phys, e.pages);
+             ar.seq(e.groups, 8 + 8 + 8, [](auto& ar, auto& g) {
+               ar(g.addr, g.len, g.prot);
+             });
+           });
+    ar.seq(t.lru_, 8);
+    ar.seq(t.mru_, 8);
+    ar.seq(t.pool_, 4);
+    ar.seq(t.drain_queue_, 8);
+    ar.seq(t.acquired_, 4);
+    auto& s = t.stats_;
+    ar(s.allocs, s.frees, s.sets, s.mprotects, s.map_ins, s.revivals,
+       s.mru_hits, s.evictions, s.drains, s.drain_flushes, s.pte_rekeys,
+       s.tlb_flushes);
   }
 
  private:

@@ -27,18 +27,8 @@ void Recorder::sample(u64 instret, u64 cycles, u64 pc) {
 
 std::vector<u8> serialize(const Trace& trace) {
   ByteWriter payload;
-  payload.put_u64(trace.ring_capacity);
-  payload.put_u64(trace.sample_interval);
-  payload.put_u64(trace.dropped);
-  payload.put_u64(trace.symbols.size());
-  for (const auto& s : trace.symbols) {
-    payload.put_u32(s.pid);
-    payload.put_str(s.name);
-    payload.put_u64(s.start);
-    payload.put_u64(s.end);
-  }
-  payload.put_u64(trace.events.size());
-  for (const auto& e : trace.events) e.serialize(payload);
+  Save ar(payload);
+  ar(trace);
 
   const std::vector<u8> body = payload.take();
   ByteWriter out;
@@ -71,28 +61,8 @@ Trace parse(const std::vector<u8>& blob) {
       "trace payload checksum mismatch (damaged file)");
 
   Trace t;
-  t.ring_capacity = r.get_u64();
-  t.sample_interval = r.get_u64();
-  t.dropped = r.get_u64();
-  const u64 nsyms = r.get_u64();
-  t.symbols.reserve(nsyms);
-  for (u64 i = 0; i < nsyms; ++i) {
-    SymbolRange s;
-    s.pid = r.get_u32();
-    s.name = r.get_str();
-    s.start = r.get_u64();
-    s.end = r.get_u64();
-    t.symbols.push_back(std::move(s));
-  }
-  const u64 nevents = r.get_u64();
-  t.events.reserve(nevents);
-  for (u64 i = 0; i < nevents; ++i) {
-    Event e = Event::deserialize(r);
-    SEALPK_CHECK_MSG(static_cast<u32>(e.kind) < kEventKindCount,
-                     "trace event " << i << " has unknown kind "
-                                    << static_cast<u32>(e.kind));
-    t.events.push_back(e);
-  }
+  Load ar(r);
+  ar(t);
   SEALPK_CHECK_MSG(r.done(), "trailing bytes after trace payload");
   return t;
 }

@@ -38,6 +38,11 @@ struct SymbolRange {
   u64 end = 0;
 
   bool operator==(const SymbolRange&) const = default;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& s) {
+    ar(s.pid, s.name, s.start, s.end);
+  }
 };
 
 // Parsed (or about-to-be-serialized) trace: what a .spktrc blob holds.
@@ -50,6 +55,14 @@ struct Trace {
   u64 dropped = 0;
   std::vector<SymbolRange> symbols;
   std::vector<Event> events;
+
+  // The payload inside the blob envelope.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& t) {
+    ar(t.ring_capacity, t.sample_interval, t.dropped);
+    ar.seq(t.symbols, 4 + 8 + 8 + 8);
+    ar.seq(t.events, 1 + 3 * 4 + 4 * 8);
+  }
 };
 
 // Blob container: 8-byte magic, u32 version, u64 payload length, u64

@@ -36,13 +36,26 @@ class AddressSpace {
   AddressSpace(mem::PhysMem& mem, FrameAllocator& frames,
                unsigned pkey_bits, unsigned levels = mem::sv39::kLevels);
 
-  // Snapshot restore constructor: rebuilds the bookkeeping from a
-  // serialized stream WITHOUT allocating a root table — the page tables
-  // themselves live in PhysMem, which the snapshot layer restores
-  // wholesale, and the frame allocator's state is restored separately.
-  AddressSpace(mem::PhysMem& mem, FrameAllocator& frames, ByteReader& r);
+  // Snapshot restore constructor: allocates no root table, and io() then
+  // fills in the bookkeeping. The page tables themselves live in PhysMem,
+  // which the snapshot layer restores wholesale, and the frame allocator's
+  // state is restored separately.
+  AddressSpace(mem::PhysMem& mem, FrameAllocator& frames)
+      : mem_(mem), frames_(frames) {}
 
-  void save_state(ByteWriter& w) const;
+  // Snapshot field list. std::map iterates in key order, so the encoding
+  // is canonical.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& a) {
+    ar(a.pkey_bits_, a.levels_);
+    SEALPK_CHECK_MSG(a.levels_ == 3 || a.levels_ == 4,
+                     "page-table levels " << a.levels_ << " not 3 or 4");
+    ar(a.root_ppn_, a.mmap_next_, a.pages_mapped_);
+    ar.map(a.vmas_, 8 + 8 + 8 + 4, [](auto& ar, auto& start, auto& vma) {
+      ar(start, vma.end, vma.prot, vma.pkey);
+      if constexpr (Ar::kLoading) vma.start = start;
+    });
+  }
 
   u64 root_ppn() const { return root_ppn_; }
   u64 satp() const;
@@ -107,11 +120,11 @@ class AddressSpace {
 
   mem::PhysMem& mem_;
   FrameAllocator& frames_;
-  unsigned pkey_bits_;
-  unsigned levels_;
-  u64 root_ppn_;
+  unsigned pkey_bits_ = 0;
+  unsigned levels_ = 0;
+  u64 root_ppn_ = 0;
   std::map<u64, Vma> vmas_;  // keyed by start
-  u64 mmap_next_;
+  u64 mmap_next_ = 0;
   u64 pages_mapped_ = 0;
 };
 

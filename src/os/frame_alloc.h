@@ -58,22 +58,15 @@ class FrameAllocator {
 
   u64 allocated_frames() const { return allocated_; }
 
-  // Snapshot port: the free list is a LIFO, so its order is part of the
-  // deterministic allocation stream and travels verbatim.
-  void save_state(ByteWriter& w) const {
-    w.put_u64(next_);
-    w.put_u64(end_);
-    w.put_u64(allocated_);
-    w.put_u64(free_.size());
-    for (u64 ppn : free_) w.put_u64(ppn);
-  }
-  void load_state(ByteReader& r) {
-    next_ = r.get_u64();
-    const u64 end = r.get_u64();
-    SEALPK_CHECK_MSG(end == end_, "frame allocator range mismatch");
-    allocated_ = r.get_u64();
-    free_.resize(r.get_count(8));
-    for (u64& ppn : free_) ppn = r.get_u64();
+  // Snapshot field list: the free list is a LIFO, so its order is part of
+  // the deterministic allocation stream and travels verbatim.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& f) {
+    u64 end = f.end_;
+    ar(f.next_, end);
+    ar.expect_eq(end, f.end_, "frame allocator end");
+    ar(f.allocated_);
+    ar.seq(f.free_, 8);
   }
 
  private:

@@ -25,6 +25,11 @@ namespace sealpk::os {
 struct SealRange {
   u64 start = 0;
   u64 end = 0;  // inclusive
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& r) {
+    ar(r.start, r.end);
+  }
 };
 
 class KeyManager {
@@ -62,10 +67,16 @@ class KeyManager {
   }
 
   // --- snapshot ports ------------------------------------------------------
-  // Each flavour serializes its own bookkeeping; the kernel re-installs any
-  // hooks (they capture live pointers and never travel in a snapshot).
-  virtual void save_state(ByteWriter& w) const = 0;
-  virtual void load_state(ByteReader& r) = 0;
+  // Each flavour lists its own bookkeeping once, in its static io; these
+  // two run it. The kernel re-installs any hooks (they capture live
+  // pointers and never travel in a snapshot).
+  virtual void archive(Save& ar) const = 0;
+  virtual void archive(Load& ar) = 0;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& keys) {
+    keys.archive(ar);
+  }
 };
 
 // The SealPK kernel state with lazy de-allocation.
@@ -193,30 +204,13 @@ class SealPkKeyManager : public KeyManager {
     perm_ranges_[pkey] = rec.perm_range;
   }
 
-  void save_state(ByteWriter& w) const override {
-    w.put_bitset(alloc_);
-    w.put_bitset(dirty_);
-    w.put_bitset(sealed_domain_);
-    w.put_bitset(sealed_page_);
-    for (u64 c : counter_) w.put_u64(c);
-    for (const auto& range : perm_ranges_) {
-      w.put_bool(range.has_value());
-      w.put_u64(range ? range->start : 0);
-      w.put_u64(range ? range->end : 0);
-    }
-  }
-  void load_state(ByteReader& r) override {
-    alloc_ = r.get_bitset<hw::kNumPkeys>();
-    dirty_ = r.get_bitset<hw::kNumPkeys>();
-    sealed_domain_ = r.get_bitset<hw::kNumPkeys>();
-    sealed_page_ = r.get_bitset<hw::kNumPkeys>();
-    for (u64& c : counter_) c = r.get_u64();
-    for (auto& range : perm_ranges_) {
-      const bool has = r.get_bool();
-      const u64 start = r.get_u64();
-      const u64 end = r.get_u64();
-      range = has ? std::optional<SealRange>({start, end}) : std::nullopt;
-    }
+  void archive(Save& ar) const override { io(ar, *this); }
+  void archive(Load& ar) override { io(ar, *this); }
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& k) {
+    ar(k.alloc_, k.dirty_, k.sealed_domain_, k.sealed_page_, k.counter_,
+       k.perm_ranges_);
   }
 
  private:

@@ -25,6 +25,11 @@ struct ThreadContext {
   // Staged permissible-range latches (seal.start / seal.end).
   u64 seal_start = 0;
   u64 seal_end = 0;
+
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& c) {
+    ar(c.regs, c.pc, c.pkr, c.pkru, c.seal_start, c.seal_end);
+  }
 };
 
 struct Thread {

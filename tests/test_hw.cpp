@@ -259,13 +259,17 @@ TEST(SealUnit, CanonicalStateRoundTripsThroughByteStream) {
   unit.set_sealed(5);
   unit.refill(5, 0x100, 0x200);
   ByteWriter w;
-  SealUnit::save_snapshot(w, unit.canonical_state());
+  Save save_w(w);
+  save_w(unit.canonical_state());
   ByteReader r(w.buffer());
-  const SealUnit::Snapshot back = SealUnit::load_snapshot(r);
+  SealUnit::Snapshot back;
+  Load load_r(r);
+  load_r(back);
   EXPECT_TRUE(r.done());
   // Canonical: re-serializing the parsed snapshot is byte-identical.
   ByteWriter w2;
-  SealUnit::save_snapshot(w2, back);
+  Save save_w2(w2);
+  save_w2(back);
   EXPECT_EQ(w.buffer(), w2.buffer());
   SealUnit other;
   other.restore(back);

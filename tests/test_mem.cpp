@@ -573,11 +573,13 @@ TEST(Tlb, EpochMovesOnEverySlotMutatorAndNothingElse) {
   EXPECT_TRUE(moved());
 
   ByteWriter w;
-  tlb.save_state(w);
+  Save out(w);
+  out(tlb);
   EXPECT_FALSE(moved());
   const std::vector<u8> blob = w.take();
   ByteReader r(blob);
-  tlb.load_state(r);
+  Load in(r);
+  in(tlb);
   EXPECT_TRUE(moved());
 }
 

@@ -165,7 +165,7 @@ TEST(ModelState, EncodeDecodeRoundTrips) {
   s.keys[0].pages = 1;
   s.cam[0] = {true, 1, kModelRanges[1].start, kModelRanges[1].end};
   s.fifo_next = 1;
-  const ModelState back = decode_state(cfg, encode_state(s));
+  const ModelState back = parse_state(cfg, encode_state(s));
   EXPECT_EQ(back, s);
   EXPECT_EQ(encode_state(back), encode_state(s));
 }
