@@ -7,8 +7,10 @@
 
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
+#include "common/checksum.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
 #include "passes/shadow_stack.h"
@@ -120,6 +122,89 @@ TEST(ObsBlob, RejectsDamage) {
   std::vector<u8> bad_version = blob;
   bad_version[8] ^= 0xFF;  // version field follows the 8-byte magic
   EXPECT_THROW(obs::parse(bad_version), CheckError);
+}
+
+// Little-endian u64 field access and checksum repair for crafted blobs. The
+// envelope is an 8-byte magic, a u32 version, the u64 payload length and
+// the u64 payload checksum.
+constexpr size_t kTraceHeaderBytes = 8 + 4 + 8 + 8;
+
+u64 trace_u64_at(const std::vector<u8>& blob, size_t at) {
+  u64 v = 0;
+  for (unsigned i = 0; i < 8; ++i) v |= u64{blob.at(at + i)} << (8 * i);
+  return v;
+}
+
+void trace_put_u64_at(std::vector<u8>& blob, size_t at, u64 v) {
+  for (unsigned i = 0; i < 8; ++i) {
+    blob.at(at + i) = static_cast<u8>(v >> (8 * i));
+  }
+}
+
+void reseal_trace(std::vector<u8>& blob) {
+  trace_put_u64_at(blob, 8 + 4 + 8,
+                   checksum64(blob.data() + kTraceHeaderBytes,
+                              blob.size() - kTraceHeaderBytes));
+}
+
+TEST(ObsBlob, RejectsHostileCountsBeforeAllocating) {
+  // The blob `sealpk-trace record qsort --ss=sealpk-wr --seal --sample=512`
+  // writes. Payload: ring capacity, sample interval and drop count, then
+  // the symbol count and symbols, then the event count and events.
+  sim::MachineConfig config;
+  config.trace = traced(/*sample_interval=*/512);
+  sim::Machine machine(config);
+  machine.load(sealed_qsort_image());
+  machine.run();
+  const std::vector<u8> blob = machine.recorder()->serialize_blob();
+  const obs::Trace trace = obs::parse(blob);
+  ASSERT_FALSE(trace.symbols.empty());
+  ASSERT_FALSE(trace.events.empty());
+
+  const size_t symbols_at = kTraceHeaderBytes + 3 * 8;
+  size_t events_at = symbols_at + 8;
+  for (const auto& sym : trace.symbols) {
+    events_at += 4 + 8 + sym.name.size() + 8 + 8;
+  }
+  ASSERT_EQ(trace_u64_at(blob, symbols_at), trace.symbols.size());
+  ASSERT_EQ(trace_u64_at(blob, events_at), trace.events.size());
+
+  // Each count once reached vector::reserve unchecked: the large ones threw
+  // std::bad_alloc, and 2^26 symbols reserved gigabytes before the
+  // truncated read failed.
+  const std::pair<size_t, u64> hostile[] = {{events_at, u64{1} << 31},
+                                            {events_at, u64{1} << 40},
+                                            {symbols_at, u64{1} << 40},
+                                            {symbols_at, u64{1} << 26}};
+  for (const auto& [at, count] : hostile) {
+    SCOPED_TRACE(count);
+    std::vector<u8> bad = blob;
+    trace_put_u64_at(bad, at, count);
+    reseal_trace(bad);
+    try {
+      obs::parse(bad);
+      FAIL() << "parse accepted a count of " << count;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("count " + std::to_string(count)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ObsBlob, RejectsUnknownEventKind) {
+  obs::Trace t;
+  t.events.push_back(obs::Event{});
+  std::vector<u8> blob = obs::serialize(t);
+  // The lone event's kind byte follows the three header words and the two
+  // (symbol, event) counts.
+  const size_t kind_at = kTraceHeaderBytes + 3 * 8 + 8 + 8;
+  blob.at(kind_at) = static_cast<u8>(obs::kEventKindCount);
+  reseal_trace(blob);
+  EXPECT_THROW(obs::parse(blob), CheckError);
+  blob.at(kind_at) = static_cast<u8>(obs::kEventKindCount - 1);
+  reseal_trace(blob);
+  EXPECT_EQ(obs::parse(blob).events.size(), 1u);
 }
 
 TEST(ObsRecorder, RingCapacityEvictsOldestAndCountsDrops) {
